@@ -97,10 +97,13 @@ def import_seconds() -> float:
 def describe_machine(seed: int, workload: str) -> Dict[str, object]:
     import numpy
 
+    # A checkout need not be a git repository; the ceiling keeps git
+    # from reporting an enclosing repository's commit instead.
+    git_env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)}
     try:
         sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-            text=True, timeout=10,
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, env=git_env,
+            capture_output=True, text=True, timeout=10,
         ).stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
         sha = None
