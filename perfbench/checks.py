@@ -68,18 +68,6 @@ def digest(rows: Iterable) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fscore_of(predicted: Iterable[int], truth: Iterable[int]) -> float:
-    """Set F1 of one prediction; 1.0 when both sets are empty."""
-    predicted, truth = set(predicted), set(truth)
-    if not predicted and not truth:
-        return 1.0
-    hits = len(predicted & truth)
-    if hits == 0:
-        return 0.0
-    precision, recall = hits / len(predicted), hits / len(truth)
-    return 2 * precision * recall / (precision + recall)
-
-
 def summarize_latencies(samples: Sequence[float]) -> Dict[str, object]:
     """p50 and p90 of ``samples`` (seconds) in ms, with the counts that
     justify them; p90 is ``None`` when too few samples lie beyond it."""

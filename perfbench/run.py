@@ -57,10 +57,10 @@ WORKDIR = ROOT / ".perfbench"
 #: Threads the numeric libraries may use; pinned so that runs compare.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: The program's modules a workload imports, and how many fresh
-#: interpreters time their import for ``setup_s``.
+#: The program's modules a workload imports; fresh interpreters time
+#: their import for ``setup_s``, spread over the run (see
+#: ``workloads.repeat``).
 IMPORTS = ("repro", "repro.eval.fleet", "repro.eval.stream", "repro.simulation.stream")
-IMPORT_SAMPLES = 5
 
 #: The ROADMAP bar: named layers account for all but this share of a
 #: traced fig2-ci run.
@@ -76,7 +76,7 @@ def pin_environment() -> Dict[str, Optional[str]]:
 
 
 def import_seconds() -> float:
-    """Median time to import the program in a fresh interpreter."""
+    """Time to import the program in a fresh interpreter."""
     code = (
         "import importlib, time\n"
         "t = time.perf_counter()\n"
@@ -84,14 +84,11 @@ def import_seconds() -> float:
         "print(time.perf_counter() - t)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    samples = []
-    for _ in range(IMPORT_SAMPLES):
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=60, check=True,
-        )
-        samples.append(float(done.stdout.split()[-1]))
-    return statistics.median(samples)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    return float(done.stdout.split()[-1])
 
 
 def describe_machine(seed: int, workload: str) -> Dict[str, object]:
@@ -162,7 +159,7 @@ def main(argv=None) -> int:
     seed = default_seed if args.seed is None else args.seed
     WORKDIR.mkdir(exist_ok=True)
     ctx = Context(seed=seed, seconds=args.seconds, trace=bool(args.trace),
-                  workdir=WORKDIR)
+                  workdir=WORKDIR, time_import=import_seconds)
     if ctx.trace:
         ctx.probes = program_probes()
     res = Result()
@@ -194,7 +191,13 @@ def main(argv=None) -> int:
         print(f"spans: {trace_path.relative_to(ROOT)}")
     else:
         latency_ms = statistics.median(res.latencies) * 1e3 if res.latencies else 0.0
-        setup_s = import_seconds() + (statistics.median(res.setups) if res.setups else 0.0)
+        imports_s = statistics.median(res.imports)
+        rep_setup_s = statistics.median(res.setups) if res.setups else 0.0
+        setup_s = imports_s + rep_setup_s
+        report["setup_import_s"] = (imports_s, "s")
+        report["setup_per_rep_s"] = (rep_setup_s, "s")
+        report["setup_import_samples"] = (len(res.imports), "count")
+        report["setup_samples"] = (len(res.setups), "count")
         metrics = {
             "setup_s": (setup_s, "s"),
             "latency_ms": (latency_ms, "ms"),

@@ -64,7 +64,7 @@ def main(argv=None) -> int:
         share = spread(values[name])
         line = (f"{name}: median {median:.6g} {metric['unit']}, spread "
                 f"{share:.4f} (bound {metric['bound']}, {share / metric['bound']:.2f} of it)")
-        if name != "setup_s" and share > metric["bound"]:
+        if share > metric["bound"]:
             ok = False
             line += "  SPREAD OVER BOUND"
         if baseline is not None:

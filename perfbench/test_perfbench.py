@@ -20,7 +20,6 @@ sys.path.insert(0, str(HERE))
 
 from checks import (  # noqa: E402
     digest,
-    fscore_of,
     percentile,
     reportable_percentile,
     spread,
@@ -221,12 +220,6 @@ def test_digest_canonical_form_is_pinned():
     # encoding would silently invalidate every pin.
     rows = [{"scheme": "Flock (INT)", "fscore": 0.6943743264986787, "n_passive": 1000}]
     assert digest(rows) == "cba8d6f859f8dea3a76de15d7780049f184ec07cc94152a39a0f38d482b63f04"
-
-
-def test_fscore_of_sets():
-    assert fscore_of([], []) == 1.0
-    assert fscore_of([1], []) == 0.0
-    assert fscore_of([1, 2], [2]) == pytest.approx(2 / 3)
 
 
 # -- declared metrics --------------------------------------------------

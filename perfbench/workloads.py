@@ -16,6 +16,7 @@ one exactly, and the fleet must reproduce a serial run.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import statistics
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from checks import digest, fscore_of, summarize_latencies
+from checks import digest, summarize_latencies
 from layers import OP
 from spans import Probe, Tracer, instrument
 
@@ -47,6 +48,9 @@ SEED_STRIDE = 1000
 #: A fleet drain that has not finished by then is reported as failed.
 DRAIN_TIMEOUT_S = 120.0
 
+#: Fresh-interpreter import samples per untraced run, for ``setup_s``.
+IMPORT_SAMPLES = 20
+
 
 @dataclass
 class Context:
@@ -54,6 +58,8 @@ class Context:
     seconds: float
     trace: bool
     workdir: Path
+    #: Times one import of the program in a fresh interpreter.
+    time_import: Callable[[], float]
     tracer: Tracer = field(default_factory=Tracer)
     probes: List[Probe] = field(default_factory=list)
 
@@ -67,6 +73,8 @@ class Result:
     latencies: List[float] = field(default_factory=list)
     #: Seconds of set-up per repetition.
     setups: List[float] = field(default_factory=list)
+    #: Seconds to import the program, one per fresh interpreter.
+    imports: List[float] = field(default_factory=list)
     #: (run id, seconds of operation) per traced repetition.
     traced: List[Tuple[str, float]] = field(default_factory=list)
     #: Untraced operation seconds per repetition (the overhead base).
@@ -84,21 +92,35 @@ def load_pins() -> Dict[str, Dict]:
         return json.load(handle)
 
 
-def repeat(ctx: Context, min_reps: int, rep: Callable[[int, bool], float]) -> None:
+def repeat(
+    ctx: Context, res: Result, min_reps: int, rep: Callable[[int, bool], float]
+) -> None:
     """Call ``rep(index, traced)`` until ``ctx.seconds`` are spent.
 
     A repetition starts only if a typical one still fits; at least
     ``min_reps`` run.  In a traced run every second repetition is
-    traced.
+    traced.  An untraced run also times ``IMPORT_SAMPLES`` imports of
+    the program, spread between repetitions in step with the elapsed
+    time, so that their median sees the same machine as the operation's;
+    that time is not counted against ``ctx.seconds``.
     """
     start = time.perf_counter()
+    outside = 0.0
     durations: List[float] = []
     index = 0
     while True:
         durations.append(rep(index, ctx.trace and index % 2 == 1))
         index += 1
-        elapsed = time.perf_counter() - start
-        if index >= min_reps and elapsed + statistics.median(durations) > ctx.seconds:
+        elapsed = time.perf_counter() - start - outside
+        done = index >= min_reps and elapsed + statistics.median(durations) > ctx.seconds
+        if not ctx.trace:
+            due = IMPORT_SAMPLES if done else math.ceil(
+                IMPORT_SAMPLES * min(1.0, elapsed / ctx.seconds))
+            t0 = time.perf_counter()
+            while len(res.imports) < due:
+                res.imports.append(ctx.time_import())
+            outside += time.perf_counter() - t0
+        if done:
             return
 
 
@@ -139,8 +161,7 @@ class Batch:
 
     def run(self, name: str, ctx: Context, res: Result) -> None:
         from repro.eval.runner import RunnerConfig
-        from repro.eval.spec import build_experiment_spec, run_experiment
-        from repro.routing.ecmp import EcmpRouting
+        from repro.eval.spec import build_experiment_spec, run_spec
 
         runner = RunnerConfig(executor="serial")
         pinned = load_pins().get(name, {})
@@ -152,10 +173,8 @@ class Batch:
             t0 = time.perf_counter()
             spec = build_experiment_spec(
                 self.experiment, preset=self.preset, seed=seed,
-                overrides=self.overrides,
+                overrides=self.overrides, build_runner=runner,
             )
-            for point in spec.points:
-                EcmpRouting(point.topology.build())
             res.setups.append(time.perf_counter() - t0)
             n_traces = sum(len(p.trace.seeds) for p in spec.points if p.trace)
             res.attempted += n_traces
@@ -163,10 +182,7 @@ class Batch:
             with traced_rep(ctx, traced, f"rep{index}"), _op_span(ctx, traced):
                 t0 = time.perf_counter()
                 try:
-                    rows = run_experiment(
-                        self.experiment, preset=self.preset, seed=seed,
-                        runner=runner, overrides=self.overrides,
-                    ).rows
+                    rows = run_spec(spec, runner).rows
                 except Exception as exc:  # noqa: BLE001 - counted as failed
                     res.fail(n_traces, f"rep {index} (seed {seed}) raised {exc!r}")
                 seconds = time.perf_counter() - t0
@@ -182,7 +198,7 @@ class Batch:
                 res.fail(n_traces, f"rep {index} (seed {seed}): rows digest {got} != {want}")
             return seconds
 
-        repeat(ctx, 2 if ctx.trace else self.reps, rep)
+        repeat(ctx, res, 2 if ctx.trace else self.reps, rep)
         if res.latencies:
             res.report["run_s"] = (statistics.median(res.latencies), "s")
         if fscores:
@@ -221,7 +237,6 @@ def run_stream(ctx: Context, res: Result) -> None:
     ))
     pinned = load_pins().get("stream-gray-drift", {})
     first: Dict[str, object] = {}
-    fscores: List[float] = []
     degraded = 0
 
     def rep(index: int, traced: bool) -> float:
@@ -255,9 +270,6 @@ def run_stream(ctx: Context, res: Result) -> None:
         predictions = [sorted(int(c) for c in r.prediction.components) for r in reports]
         incidents = incident_latencies(reports) if reports else []
         detect = incidents[0]["latency_cycles"] if incidents else None
-        fscores.extend(
-            fscore_of(r.prediction.components, r.truth) for r in reports[WINDOW:]
-        )
         if not first:
             first.update(predictions=predictions, detect=detect)
         want = (
@@ -273,7 +285,7 @@ def run_stream(ctx: Context, res: Result) -> None:
             res.fail(1, f"pass {index}: detect_cycles {detect} != {want['detect']}")
         return seconds
 
-    repeat(ctx, 4, rep)
+    repeat(ctx, res, 4, rep)
     summary = summarize_latencies(res.latencies)
     res.report["cycle_ms_p50"] = (summary["p50_ms"], "ms")
     res.report["cycle_ms_p90"] = (summary["p90_ms"], "ms")
@@ -281,8 +293,6 @@ def run_stream(ctx: Context, res: Result) -> None:
     res.report["cycle_samples_beyond_p90"] = (summary["beyond_p90"], "count")
     res.report["detect_cycles"] = (first.get("detect"), "cycles")
     res.report["degraded_cycles"] = (degraded, "count")
-    if fscores:
-        res.report["fscore_mean"] = (statistics.mean(fscores), "ratio")
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +385,7 @@ def run_fleet(ctx: Context, res: Result) -> None:
             shutil.rmtree(directory, ignore_errors=True)
         return seconds
 
-    repeat(ctx, 2, rep)
+    repeat(ctx, res, 2, rep)
     if res.latencies:
         res.report["drain_s"] = (statistics.median(res.latencies), "s")
     if fscores:
