@@ -49,7 +49,7 @@ SEED_STRIDE = 1000
 DRAIN_TIMEOUT_S = 120.0
 
 #: Fresh-interpreter import samples per untraced run, for ``setup_s``.
-IMPORT_SAMPLES = 20
+IMPORT_SAMPLES = 12
 
 
 @dataclass
