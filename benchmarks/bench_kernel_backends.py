@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Per-kernel backend comparison: numpy vs collapsed vs numba.
+"""Per-kernel backend comparison: numpy vs numba.
 
 Where ``run_benchmarks.py`` tracks the repo's headline numbers, this
 runner isolates the localization hot loops and times each registered
@@ -20,8 +20,8 @@ Usage::
         --preset ci --repeats 3
 
 Writes ``BENCH_kernels_<label>.json`` with per-(benchmark, backend)
-mean/stddev plus ``derived`` speedups of every non-reference backend
-over numpy.  Timing semantics match ``run_benchmarks.py``: one cold
+mean/stddev plus ``derived`` speedups of every other backend (numba,
+where installed) over the default numpy backend.  Timing semantics match ``run_benchmarks.py``: one cold
 warmup call (recorded as ``cold_s`` — includes JIT compilation for the
 numba backend), then ``repeats`` warm calls.
 

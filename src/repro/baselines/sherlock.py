@@ -197,6 +197,10 @@ class SherlockFerret:
                 state.flip(comp)
 
         explore(0)
+        if self._engine == "fast":
+            # Report the per-flow pricing of the winner, not the Δ sum
+            # it was found with, so the float is layout-independent.
+            best_ll[0] = state.hypothesis_ll(best_h[0])
         return Prediction(
             components=frozenset(best_h[0]),
             log_likelihood=float(best_ll[0]),

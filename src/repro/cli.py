@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--kernel-backend", default=None, metavar="NAME",
-        help="localization kernel backend (numpy, collapsed, numba); "
+        help="localization kernel backend (numpy, or numba if installed); "
              "default: $REPRO_KERNEL_BACKEND or numpy",
     )
     run.add_argument(
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fwork.add_argument(
         "--kernel-backend", default=None, metavar="NAME",
-        help="localization kernel backend (numpy, collapsed, numba)",
+        help="localization kernel backend (numpy, or numba if installed)",
     )
     fwork.add_argument(
         "--heartbeat-seconds", type=float, default=None, metavar="S",
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--kernel-backend", default=None, metavar="NAME",
-        help="localization kernel backend (numpy, collapsed, numba)",
+        help="localization kernel backend (numpy, or numba if installed)",
     )
     stream.add_argument(
         "--cycle-budget", type=float, default=None, metavar="S",

@@ -124,6 +124,7 @@ class FlockInference:
         if cap is None:
             cap = len(candidates)
         scores = {}
+        ll = 0.0
         while len(state.hypothesis) < cap:
             gains = state.addition_gains(candidates)
             best_idx = int(np.argmax(gains))
@@ -132,11 +133,19 @@ class FlockInference:
                 break
             chosen = int(candidates[best_idx])
             state.flip(chosen)
-            scores[chosen] = best_gain
+            if self._engine == "reference":
+                scores[chosen] = best_gain
+                ll = state.ll
+            else:
+                # Report the per-flow pricing, which no row layout or
+                # problem representation can perturb.
+                new_ll = state.hypothesis_ll(state.hypothesis)
+                scores[chosen] = new_ll - ll
+                ll = new_ll
 
         return Prediction(
             components=frozenset(state.hypothesis),
             scores=scores,
-            log_likelihood=float(state.ll),
+            log_likelihood=float(ll),
             hypotheses_scanned=state.hypotheses_scanned,
         )

@@ -17,17 +17,24 @@ layer*:
   multiplicity column; per-set *endpoint components* sit on every
   member path of their set;
 * ``comp -> flows``, ``comp -> paths`` and ``comp -> endpoint sets``
-  inverted maps.
+  inverted maps;
+* *collapsed likelihood rows*: flows sharing an interior set and an
+  observation bucket fold into one row with a summed weight (see
+  :meth:`VectorArrays._build_collapsed_rows`).
 
-The workhorse pattern: count (set, component) pairs over *good* member
-paths at interior-set granularity, expand the per-set pair lists to
-flows in flow-major component-sorted order, evaluate the memoized
-per-flow likelihood difference, and scatter-add with ``np.bincount``.
-Because an uncompressed problem is the trivial factoring (every set its
-own interior set, no endpoint comps), one code path serves both
-representations, and their kernel sums are identical term by term and
-in accumulation order - which is what keeps compressed and uncompressed
-predictions bit-identical.
+The workhorse pattern: count (interior set, component) pairs over
+*good* member paths, expand them to rows, and price each row's flip
+term once through the kernel backend's ``pair_delta`` scatter.
+
+Row layout depends on the problem representation (an uncompressed
+problem gives every set its own interior set), so Δ and the running
+``ll`` of a state differ between representations in the last ulps.
+The floats a :class:`~repro.types.Prediction` reports do not: every
+engine prices its final hypothesis with :meth:`VectorArrays
+.hypothesis_ll` (a per-flow pass in flow order, priors summed in
+component-id order), and greedy scores are differences of two such
+pricings, so compressed, uncompressed and object problems report
+bit-identical likelihoods.
 
 Engines built on the substrate:
 
@@ -37,7 +44,7 @@ Engines built on the substrate:
   candidate individually each iteration (the "greedy only" arm), with
   array-level candidate pruning from a per-component gain upper bound;
 * :meth:`VectorArrays.hypothesis_ll` - direct hypothesis pricing used
-  by the plain-Sherlock arm.
+  by the plain-Sherlock arm and for every reported likelihood.
 """
 
 from __future__ import annotations
@@ -122,10 +129,9 @@ class VectorArrays:
     """Shared CSR arrays + likelihood vectors for one problem.
 
     ``kernel_backend`` selects a :mod:`repro.core.kernels` backend
-    (explicit name > ``REPRO_KERNEL_BACKEND`` env var > ``numpy``).
-    The ``numpy`` reference keeps the original uncollapsed set-granular
-    loops bit-for-bit; collapsed backends switch the engines to unique
-    likelihood rows (see :meth:`_build_collapsed_rows`).
+    (explicit name > ``REPRO_KERNEL_BACKEND`` env var > ``numpy``) for
+    the primitives evaluated over collapsed likelihood rows (see
+    :meth:`_build_collapsed_rows`).
     """
 
     def __init__(
@@ -169,8 +175,7 @@ class VectorArrays:
         self.prior_gain[problem.n_links:] = params.device_prior_gain
 
         self.n_isets = len(self.iset_uoff) - 1
-        if self.kernels.collapsed:
-            self._build_collapsed_rows()
+        self._build_collapsed_rows()
 
     def _build_collapsed_rows(self) -> None:
         """Collapse flows into unique (interior set, observation) rows.
@@ -250,82 +255,6 @@ class VectorArrays:
         local = np.repeat(np.arange(len(sets), dtype=np.int64), lengths)
         return local, self.iset_upids[idx], self.iset_umult[idx]
 
-    def _set_pair_lists(
-        self,
-        sets: np.ndarray,
-        local: np.ndarray,
-        upids: np.ndarray,
-        mult: np.ndarray,
-        good: np.ndarray,
-        goodcount: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-set (component, count) lists over good member paths.
-
-        Counts weight by member multiplicity; endpoint components sit on
-        every member path, so they count the set's whole good-member
-        total (and appear only while the set still has good members).
-        Returns (packed keys, counts) sorted by (set local id, comp).
-        """
-        n_comps = np.int64(self.n_comps)
-        gl = local[good]
-        gp = upids[good]
-        lens = self.path_len[gp]
-        keys = np.repeat(gl, lens) * n_comps + self.path_comps[
-            _expand_slices(self.path_off[gp], lens)
-        ]
-        wts = np.repeat(mult[good], lens)
-        ukeys, cnts = _count_sorted(keys, wts, len(sets) * self.n_comps)
-        has_e = (self.set_elen[sets] > 0) & (goodcount > 0)
-        if np.any(has_e):
-            esel = np.nonzero(has_e)[0]
-            elens = self.set_elen[sets[esel]]
-            eidx = _expand_slices(self.set_eoff[sets[esel]], elens)
-            ekeys = np.repeat(esel, elens) * n_comps + self.set_ecomps[eidx]
-            ecnts = np.repeat(goodcount[esel], elens)
-            # Endpoint comps are disjoint from interior comps of the
-            # same set, so the merged key stream has no duplicates; one
-            # scatter pass fills both output arrays.
-            pos = np.searchsorted(ukeys, ekeys)
-            n = len(ukeys) + len(ekeys)
-            at = pos + np.arange(len(ekeys), dtype=np.int64)
-            rest = np.ones(n, dtype=bool)
-            rest[at] = False
-            merged_keys = np.empty(n, dtype=np.int64)
-            merged_cnts = np.empty(n)
-            merged_keys[at] = ekeys
-            merged_cnts[at] = ecnts
-            merged_keys[rest] = ukeys
-            merged_cnts[rest] = cnts
-            return merged_keys, merged_cnts
-        return ukeys, cnts
-
-    def _pairs_to_flows(
-        self,
-        n_local_sets: int,
-        flow_set_local: np.ndarray,
-        keys: np.ndarray,
-        cnts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expand per-set pair lists to flow-major (fl, comp, cnt).
-
-        Flows arrive ascending with component-sorted pair lists, which
-        is exactly the order the historical per-instance ``np.unique``
-        counting produced - the load-bearing detail that keeps every
-        downstream ``np.bincount`` accumulation bit-identical across
-        problem representations.
-        """
-        n_comps = np.int64(self.n_comps)
-        bounds = np.searchsorted(
-            keys, np.arange(n_local_sets + 1, dtype=np.int64) * n_comps
-        )
-        lens = np.diff(bounds)[flow_set_local]
-        fl = np.repeat(np.arange(len(flow_set_local), dtype=np.int64), lens)
-        idx = _expand_slices(bounds[flow_set_local], lens)
-        return fl, (keys % n_comps)[idx], cnts[idx]
-
-    # ------------------------------------------------------------------
-    # Collapsed-row kernels (backends with ``collapsed=True``)
-    # ------------------------------------------------------------------
     def _iset_instances(
         self, isets: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,10 +274,10 @@ class VectorArrays:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-interior-set (component, count) lists over good members.
 
-        The interior-set analogue of :meth:`_set_pair_lists`, without
-        endpoint components (those are per *set* and priced exactly by
-        the collapsed passes).  Returns (packed keys, counts) sorted by
-        (iset local id, comp).
+        Counts weight by member multiplicity.  Endpoint components are
+        left out: they sit on every member path of their *set* and are
+        priced exactly by :meth:`_collapsed_delta`.  Returns (packed
+        keys, counts) sorted by (iset local id, comp).
         """
         n_comps = np.int64(self.n_comps)
         gl = il[good]
@@ -462,10 +391,13 @@ class VectorArrays:
         This is the plain-Sherlock work unit: only flows intersecting
         the hypothesis contribute, each priced from its failed-path
         count.  Cost: O(member paths of affected sets + affected flows).
+
+        Every reported likelihood goes through here, so the result is a
+        function of the hypothesis *set* alone: flows are summed in flow
+        order and priors in component-id order, whatever the argument
+        order or the problem's row layout.
         """
-        hyp = list(set(comps))
-        if self.kernels.collapsed:
-            return self._hypothesis_ll_collapsed(hyp, include_prior)
+        hyp = sorted(set(comps))
         total = 0.0
         if hyp:
             flows = self.affected_flows(hyp)
@@ -488,61 +420,6 @@ class VectorArrays:
                 b = b_set[fsl]
                 lls = self.nll(b, flows)
                 total = float(np.dot(self.wt[flows], lls))
-        if include_prior:
-            total += float(sum(self.prior_gain[c] for c in hyp))
-        return total
-
-    def _hypothesis_ll_collapsed(self, hyp, include_prior: bool) -> float:
-        """:meth:`hypothesis_ll` priced over collapsed rows.
-
-        Flows on sets with a failed endpoint component evaluate to
-        exactly ``s`` (no log); the rest share their row's per-iset
-        failed-member count.
-        """
-        total = 0.0
-        if hyp:
-            flows = self.affected_flows(hyp)
-            if len(flows):
-                aff_sets, fsl = np.unique(
-                    self.set_of_flow[flows], return_inverse=True
-                )
-                aff_isets = np.unique(self.iset_of_set[aff_sets])
-                il, upids, mult = self._iset_instances(aff_isets)
-                path_bad = np.zeros(self.n_kernel_paths, dtype=bool)
-                e_bad = np.zeros(len(aff_sets), dtype=bool)
-                for comp in hyp:
-                    path_bad[self.comp_paths(comp)] = True
-                    esets = self.comp_esets(comp)
-                    if len(esets):
-                        e_bad[np.searchsorted(aff_sets, esets)] = True
-                iset_b = np.bincount(
-                    il,
-                    weights=mult * path_bad[upids],
-                    minlength=len(aff_isets),
-                )
-                wt = self.wt[flows]
-                ebad_f = e_bad[fsl]
-                if np.any(ebad_f):
-                    total += float(
-                        np.dot(wt[ebad_f], self.s[flows[ebad_f]])
-                    )
-                ok_f = ~ebad_f
-                if np.any(ok_f):
-                    sel = flows[ok_f]
-                    rsel, rinv = np.unique(
-                        self._row_of_flow[sel], return_inverse=True
-                    )
-                    W = np.bincount(
-                        rinv, weights=wt[ok_f], minlength=len(rsel)
-                    )
-                    ril = np.searchsorted(aff_isets, self._row_iset[rsel])
-                    lls = self.kernels.nll(
-                        iset_b[ril],
-                        self._row_w[rsel],
-                        self._row_s[rsel],
-                        self._row_es[rsel],
-                    )
-                    total += float(np.dot(W, lls))
         if include_prior:
             total += float(sum(self.prior_gain[c] for c in hyp))
         return total
@@ -783,35 +660,9 @@ class VectorJleState(VectorArrays):
         the subset's share of the hypothesis ll under the carried
         hypothesis.
         """
-        out = np.zeros(self.n_comps, dtype=np.float64)
         flows = np.asarray(flows, dtype=np.int64)
         if len(flows) == 0 or self.n_sets == 0:
-            return out, 0.0
-        if self.kernels.collapsed:
-            return self._delta_contrib_collapsed(flows, dw)
-        aff_sets, fsl = np.unique(self.set_of_flow[flows], return_inverse=True)
-        local, upids, mult = self.set_instances(aff_sets)
-        nf = self._path_nfailed[upids] + self._set_e_nfailed[aff_sets][local]
-        failed = nf > 0
-        b_set = self._set_b[aff_sets]
-        good_count = self.set_w[aff_sets] - b_set
-        b = b_set[fsl].astype(np.float64)
-        base = self.nll(b, flows)
-        base_ll = float(np.dot(dw, base))
-        if not np.any(good_count > 0):
-            return out, base_ll
-        keys, cnts = self._set_pair_lists(
-            aff_sets, local, upids, mult, ~failed, good_count
-        )
-        fl, comps_u, cnt = self._pairs_to_flows(len(aff_sets), fsl, keys, cnts)
-        contrib = dw[fl] * (self.nll(b[fl] + cnt, flows[fl]) - base[fl])
-        out += np.bincount(comps_u, weights=contrib, minlength=self.n_comps)
-        return out, base_ll
-
-    def _delta_contrib_collapsed(
-        self, flows: np.ndarray, dw: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        """:meth:`_delta_contrib` priced over collapsed rows."""
+            return np.zeros(self.n_comps, dtype=np.float64), 0.0
         aff_sets, fsl = np.unique(self.set_of_flow[flows], return_inverse=True)
         b = self._set_b[aff_sets][fsl].astype(np.float64)
         base_ll = float(np.dot(dw, self.nll(b, flows)))
@@ -829,25 +680,8 @@ class VectorJleState(VectorArrays):
         return out, base_ll
 
     def _initial_delta(self) -> np.ndarray:
-        if self.problem.n_flows == 0 or self.n_sets == 0:
-            return np.zeros(self.n_comps, dtype=np.float64)
-        if self.kernels.collapsed:
-            flows = np.arange(self.problem.n_flows, dtype=np.int64)
-            out, _ = self._delta_contrib_collapsed(flows, self.wt)
-            return out
-        sets = np.arange(self.n_sets, dtype=np.int64)
-        local, upids, mult = self.set_instances(sets)
-        good = np.ones(len(upids), dtype=bool)
-        keys, cnts = self._set_pair_lists(
-            sets, local, upids, mult, good, self.set_w
-        )
-        fl, comp, cnt = self._pairs_to_flows(
-            self.n_sets, self.set_of_flow, keys, cnts
-        )
-        contrib = self.wt[fl] * self.nll(cnt, fl)
-        return np.bincount(comp, weights=contrib, minlength=self.n_comps).astype(
-            np.float64
-        )
+        flows = np.arange(self.problem.n_flows, dtype=np.int64)
+        return self._delta_contrib(flows, self.wt)[0]
 
     # ------------------------------------------------------------------
     def addition_gains(self, candidates: np.ndarray) -> np.ndarray:
@@ -874,35 +708,7 @@ class VectorJleState(VectorArrays):
         without flipping - the Gibbs sampler's conditional for a
         component currently in the hypothesis.  Mirrors the reference
         engine's ``gain()`` for members: removal data delta minus the
-        prior gain."""
-        if comp not in self.hypothesis:
-            raise InferenceError(f"component {comp} is not in the hypothesis")
-        if self.kernels.collapsed:
-            return self._removal_gain_collapsed(comp)
-        total = 0.0
-        flows = self.comp_flows(comp)
-        if len(flows):
-            aff_sets, fsl = np.unique(
-                self.set_of_flow[flows], return_inverse=True
-            )
-            local, upids, mult = self.set_instances(aff_sets)
-            has = self._membership(comp, aff_sets, local, upids)
-            nf_new = (
-                self._path_nfailed[upids]
-                + self._set_e_nfailed[aff_sets][local]
-                - has
-            )
-            b_new_set = np.bincount(
-                local, weights=mult * (nf_new > 0), minlength=len(aff_sets)
-            )
-            b_new = b_new_set[fsl]
-            b_old = self._set_b[aff_sets][fsl].astype(np.float64)
-            diff = self.nll(b_new, flows) - self.nll(b_old, flows)
-            total = float(np.dot(self.wt[flows], diff))
-        return total - float(self.prior_gain[comp])
-
-    def _removal_gain_collapsed(self, comp: int) -> float:
-        """:meth:`removal_gain` priced over collapsed rows.
+        prior gain.
 
         Affected sets fall into three classes.  Sets that keep a failed
         endpoint after the removal stay at ``b = w`` (zero diff).  Sets
@@ -912,6 +718,8 @@ class VectorJleState(VectorArrays):
         that set's interior set).  Sets with no endpoint failure move
         between the with/without-``comp`` per-iset counts.
         """
+        if comp not in self.hypothesis:
+            raise InferenceError(f"component {comp} is not in the hypothesis")
         total = 0.0
         flows = self.comp_flows(comp)
         if len(flows):
@@ -960,111 +768,11 @@ class VectorJleState(VectorArrays):
                 total += float(np.dot(W, nll_new - nll_old))
         return total - float(self.prior_gain[comp])
 
-    def _membership(
-        self,
-        comp: int,
-        aff_sets: np.ndarray,
-        local: np.ndarray,
-        upids: np.ndarray,
-    ) -> np.ndarray:
-        """Bool per member instance: does its full path contain comp?"""
-        path_has = np.zeros(self.n_kernel_paths, dtype=bool)
-        path_has[self.comp_paths(comp)] = True
-        out = path_has[upids]
-        esets = self.comp_esets(comp)
-        if len(esets):
-            e_has = np.zeros(len(aff_sets), dtype=bool)
-            e_has[np.searchsorted(aff_sets, esets)] = True
-            out |= e_has[local]
-        return out
-
     # ------------------------------------------------------------------
     def flip(self, comp: int) -> float:
         """Flip ``comp``; returns the (data + prior) LL change."""
         if not 0 <= comp < self.n_comps:
             raise InferenceError(f"component id {comp} out of range")
-        if self.kernels.collapsed:
-            return self._flip_collapsed(comp)
-        adding = comp not in self.hypothesis
-        if adding:
-            change = float(self.delta[comp] + self.prior_gain[comp])
-
-        affected = self.comp_flows(comp)
-        paths_of_comp = self.comp_paths(comp)
-        esets_of_comp = self.comp_esets(comp)
-        step = 1 if adding else -1
-        if len(affected) > 0:
-            aff_sets, fsl = np.unique(
-                self.set_of_flow[affected], return_inverse=True
-            )
-            local, upids, mult = self.set_instances(aff_sets)
-            has = self._membership(comp, aff_sets, local, upids)
-            nf_old = (
-                self._path_nfailed[upids] + self._set_e_nfailed[aff_sets][local]
-            )
-            nf_new = nf_old + step * has
-            old_failed = nf_old > 0
-            new_failed = nf_new > 0
-
-            b_old_set = np.bincount(
-                local, weights=mult * old_failed, minlength=len(aff_sets)
-            )
-            b_new_set = np.bincount(
-                local, weights=mult * new_failed, minlength=len(aff_sets)
-            )
-            b_old = b_old_set[fsl]
-            b_new = b_new_set[fsl]
-            wt = self.wt[affected]
-            base_old = self.nll(b_old, affected)
-            base_new = self.nll(b_new, affected)
-
-            good_old_count = self.set_w[aff_sets] - b_old_set
-            if np.any(good_old_count > 0):
-                keys, cnts = self._set_pair_lists(
-                    aff_sets, local, upids, mult, ~old_failed, good_old_count
-                )
-                fl, comps_u, cnt = self._pairs_to_flows(
-                    len(aff_sets), fsl, keys, cnts
-                )
-                contrib = wt[fl] * (
-                    self.nll(b_old[fl] + cnt, affected[fl]) - base_old[fl]
-                )
-                self.delta -= np.bincount(
-                    comps_u, weights=contrib, minlength=self.n_comps
-                )
-            good_new_count = self.set_w[aff_sets] - b_new_set
-            if np.any(good_new_count > 0):
-                keys, cnts = self._set_pair_lists(
-                    aff_sets, local, upids, mult, ~new_failed, good_new_count
-                )
-                fl, comps_u, cnt = self._pairs_to_flows(
-                    len(aff_sets), fsl, keys, cnts
-                )
-                contrib = wt[fl] * (
-                    self.nll(b_new[fl] + cnt, affected[fl]) - base_new[fl]
-                )
-                self.delta += np.bincount(
-                    comps_u, weights=contrib, minlength=self.n_comps
-                )
-
-            self._set_b[aff_sets] = b_new_set.astype(np.int64)
-
-        self._path_nfailed[paths_of_comp] += step
-        if len(esets_of_comp):
-            self._set_e_nfailed[esets_of_comp] += step
-        if adding:
-            self.hypothesis.add(comp)
-        else:
-            self.hypothesis.discard(comp)
-            # After the state reverts, the addition gain of ``comp`` is
-            # exactly the negative of the removal change.
-            change = -float(self.delta[comp] + self.prior_gain[comp])
-        self.ll += change
-        self.flips += 1
-        return change
-
-    def _flip_collapsed(self, comp: int) -> float:
-        """:meth:`flip` with both Δ passes priced over collapsed rows."""
         adding = comp not in self.hypothesis
         if adding:
             change = float(self.delta[comp] + self.prior_gain[comp])
@@ -1141,9 +849,15 @@ def greedy_local_search(
     add-only loop (a just-added component's removal gain is its
     addition gain negated, so removals never fire without new
     evidence).  An iteration guard bounds pathological flip cycles.
+
+    Like every engine here, it reports the per-flow pricing of
+    :meth:`VectorArrays.hypothesis_ll`, not the running ``state.ll``:
+    an added component's score is the change of that pricing across
+    its flip.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
     scores: Dict[int, float] = {}
+    ll = state.hypothesis_ll(state.hypothesis)
     cap = max_failures
     if cap is None:
         cap = len(candidates) + len(state.hypothesis)
@@ -1167,14 +881,16 @@ def greedy_local_search(
         if best_comp < 0:
             break
         state.flip(best_comp)
+        new_ll = state.hypothesis_ll(state.hypothesis)
         if removing:
             scores.pop(best_comp, None)
         else:
-            scores[best_comp] = best_gain
+            scores[best_comp] = new_ll - ll
+        ll = new_ll
     return Prediction(
         components=frozenset(state.hypothesis),
         scores=scores,
-        log_likelihood=float(state.ll),
+        log_likelihood=ll,
         hypotheses_scanned=state.hypotheses_scanned,
     )
 
@@ -1195,7 +911,6 @@ class VectorGreedyWithoutJle(VectorArrays):
         problem: InferenceProblem,
         params: FlockParams,
         max_failures: Optional[int] = None,
-        initial_hypothesis: Optional[Iterable[int]] = None,
         kernel_backend: Optional[str] = None,
     ) -> None:
         super().__init__(problem, params, kernel_backend)
@@ -1203,13 +918,7 @@ class VectorGreedyWithoutJle(VectorArrays):
         self._set_e_nfailed = np.zeros(self.n_sets, dtype=np.int64)
         self._set_b = np.zeros(self.n_sets, dtype=np.int64)
         self.hypothesis: Set[int] = set()
-        self.ll = 0.0
         self._cap = max_failures
-        if initial_hypothesis:
-            # Warm start: seed the previous window's hypothesis so the
-            # greedy loop only prices what changed.
-            for comp in sorted(set(initial_hypothesis)):
-                self.commit(comp, self.candidate_gain(comp))
 
     def _newly_bad_counts(
         self, comp: int, flows: np.ndarray
@@ -1233,26 +942,16 @@ class VectorGreedyWithoutJle(VectorArrays):
         return aff_sets, extra_set, fsl
 
     def candidate_gain(self, comp: int) -> float:
-        """LL(H + comp) - LL(H), recomputed over flows(comp)."""
-        flows = self.comp_flows(comp)
-        if not len(flows):
-            return float(self.prior_gain[comp])
-        if self.kernels.collapsed:
-            return self._candidate_gain_collapsed(comp, flows)
-        aff_sets, extra_set, fsl = self._newly_bad_counts(comp, flows)
-        b_old = self._set_b[aff_sets][fsl].astype(np.float64)
-        extra = extra_set[fsl]
-        diff = self.nll(b_old + extra, flows) - self.nll(b_old, flows)
-        return float(np.dot(self.wt[flows], diff) + self.prior_gain[comp])
-
-    def _candidate_gain_collapsed(self, comp: int, flows: np.ndarray) -> float:
-        """:meth:`candidate_gain` priced over collapsed rows.
+        """LL(H + comp) - LL(H), recomputed over flows(comp).
 
         Sets already at ``b = w`` via a failed endpoint are unmoved;
         sets gaining ``comp`` as a failed endpoint jump to exactly
         ``s``; the rest move between the per-iset counts with and
         without ``comp``'s member paths failed.
         """
+        flows = self.comp_flows(comp)
+        if not len(flows):
+            return float(self.prior_gain[comp])
         aff_sets, fsl = np.unique(self.set_of_flow[flows], return_inverse=True)
         aff_isets = np.unique(self.iset_of_set[aff_sets])
         il, upids, mult = self._iset_instances(aff_isets)
@@ -1295,7 +994,7 @@ class VectorGreedyWithoutJle(VectorArrays):
             total += float(np.dot(W, nll_new - nll_old))
         return total + float(self.prior_gain[comp])
 
-    def commit(self, comp: int, gain: float) -> None:
+    def commit(self, comp: int) -> None:
         flows = self.comp_flows(comp)
         if len(flows):
             aff_sets, extra_set, _ = self._newly_bad_counts(comp, flows)
@@ -1305,7 +1004,6 @@ class VectorGreedyWithoutJle(VectorArrays):
         if len(esets):
             self._set_e_nfailed[esets] += 1
         self.hypothesis.add(comp)
-        self.ll += gain
 
     def run(self) -> Prediction:
         candidates = list(self.problem.observed_components)
@@ -1313,6 +1011,7 @@ class VectorGreedyWithoutJle(VectorArrays):
         ub = self.addition_upper_bounds()
         scanned = 0
         scores: Dict[int, float] = {}
+        ll = 0.0
         while len(self.hypothesis) < cap:
             best_comp = -1
             best_gain = 0.0
@@ -1330,11 +1029,13 @@ class VectorGreedyWithoutJle(VectorArrays):
                     best_comp = comp
             if best_comp < 0:
                 break
-            self.commit(best_comp, best_gain)
-            scores[best_comp] = best_gain
+            self.commit(best_comp)
+            new_ll = self.hypothesis_ll(self.hypothesis)
+            scores[best_comp] = new_ll - ll
+            ll = new_ll
         return Prediction(
             components=frozenset(self.hypothesis),
             scores=scores,
-            log_likelihood=self.ll,
+            log_likelihood=ll,
             hypotheses_scanned=scanned,
         )

@@ -167,7 +167,7 @@ class GibbsInference:
         return Prediction(
             components=predicted,
             scores=marginals,
-            log_likelihood=float(state.ll),
+            log_likelihood=state.hypothesis_ll(state.hypothesis),
             hypotheses_scanned=state.flips * 1,
         )
 

@@ -12,28 +12,22 @@ essentially all of their time in two primitives:
     pricing: for every pair ``k``, accumulate
     ``W[row] * (nll(b[row] + cnt[k]) - base[row])`` into ``out[comp[k]]``.
 
-A :class:`KernelBackend` bundles implementations of both.  Three
+A :class:`KernelBackend` bundles implementations of both.  The engines
+always evaluate them over *collapsed likelihood rows*: flows sharing an
+interior set and an observation bucket fold into one row with a summed
+weight, so the nll working set is unique rows rather than flows.  Two
 backends are registered:
 
 ``numpy``
-    The reference.  Engines run their original uncollapsed set-granular
-    code paths, bit-for-bit identical to every result the equivalence
-    suite has pinned since PR 5.
-
-``collapsed``
-    Same numpy primitives, but the engines switch to collapsed
-    likelihood rows: flows sharing an interior set and an observation
-    bucket are folded into one row with a summed weight, shrinking the
-    nll working set from flows to unique rows.  Accumulation order
-    changes, so results agree with ``numpy`` to float tolerance while
-    predictions stay identical — up to exactly-tied hypotheses
-    (symmetric candidates at bitwise-equal likelihood), whose
-    tie-break rides on rounding noise under any reordering.
+    The default: numpy primitives over collapsed rows.
 
 ``numba``
-    Collapsed rows with ``@njit``-compiled fused loops for both
-    primitives.  Optional: registered always, constructible only when
-    numba is importable, and skipped cleanly everywhere else.
+    ``@njit``-compiled fused loops for both primitives.  Optional:
+    registered always, constructible only when numba is importable, and
+    skipped cleanly everywhere else.  Its ``math.log`` may differ from
+    numpy's in the last ulp, so Δ floats agree with ``numpy`` to float
+    tolerance; reported likelihoods are priced per flow by the engines
+    and do not depend on the backend.
 
 Selection order: explicit ``kernel_backend=`` argument, then the
 ``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.
@@ -53,15 +47,9 @@ DEFAULT_BACKEND = "numpy"
 
 
 class KernelBackend(Protocol):
-    """The two hot-loop primitives every backend must provide.
-
-    ``collapsed`` tells the engine which data layout to feed the
-    backend: ``False`` keeps the original per-set uncollapsed pair
-    loops, ``True`` switches to collapsed likelihood rows.
-    """
+    """The two hot-loop primitives every backend must provide."""
 
     name: str
-    collapsed: bool
 
     def nll(
         self,
@@ -150,7 +138,6 @@ from . import numpy_backend as _numpy_backend  # noqa: E402
 from . import numba_backend as _numba_backend  # noqa: E402
 
 register_backend("numpy", _numpy_backend.NumpyBackend)
-register_backend("collapsed", _numpy_backend.CollapsedNumpyBackend)
 register_backend("numba", _numba_backend.make_numba_backend)
 
 __all__ = [

@@ -66,10 +66,9 @@ if HAVE_NUMBA:
 
 
 class NumbaBackend:
-    """Collapsed-row layout with compiled inner loops."""
+    """Compiled inner loops over the engines' collapsed rows."""
 
     name = "numba"
-    collapsed = True
 
     def nll(self, b, w, s, es):
         return _nll_arr(
@@ -100,6 +99,6 @@ def make_numba_backend() -> NumbaBackend:
         raise InferenceError(
             "kernel backend 'numba' needs the numba package "
             "(pip install 'repro-flock[numba]'); "
-            "use --kernel-backend collapsed for the pure-numpy fast tier"
+            "the default --kernel-backend numpy needs no extra package"
         )
     return NumbaBackend()

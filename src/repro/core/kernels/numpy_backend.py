@@ -1,4 +1,4 @@
-"""Pure-numpy kernel backends (reference + collapsed-row layout)."""
+"""The default pure-numpy kernel backend."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ from ..model import normalized_flow_ll_fast
 
 
 class NumpyBackend:
-    """The reference backend: engines keep their uncollapsed loops."""
+    """Numpy primitives over the engines' collapsed likelihood rows."""
 
     name = "numpy"
-    collapsed = False
 
     def nll(self, b, w, s, es):
         return normalized_flow_ll_fast(b, w, s, es)
@@ -23,9 +22,3 @@ class NumpyBackend:
         )
         return np.bincount(comps, weights=contrib, minlength=n_comps)
 
-
-class CollapsedNumpyBackend(NumpyBackend):
-    """Same primitives; engines feed collapsed likelihood rows."""
-
-    name = "collapsed"
-    collapsed = True

@@ -39,6 +39,19 @@ class TestVectorArrays:
         arrays = VectorArrays(drop_problem, PARAMS)
         assert arrays.hypothesis_ll([]) == 0.0
 
+    def test_hypothesis_ll_ignores_argument_order(self, drop_problem):
+        # A link and a device whose ids collide in a set's hash table
+        # (1 and 49 mod 8), so set(...) iterates them in insertion
+        # order; summing the priors in that order moves the last ulp.
+        link, dev_a, dev_b = 1, 49, 52
+        assert link < drop_problem.n_links <= dev_a < dev_b
+        observed = set(drop_problem.observed_components)
+        assert {link, dev_a, dev_b} <= observed
+        forward, backward = [link, dev_a, dev_b], [dev_a, link, dev_b]
+        assert list(set(forward)) != list(set(backward))
+        arrays = VectorArrays(drop_problem, PARAMS)
+        assert arrays.hypothesis_ll(forward) == arrays.hypothesis_ll(backward)
+
 
 class TestVectorJleState:
     @given(problem=random_problems(), data=st.data())

@@ -1,21 +1,22 @@
-"""Kernel backend registry + collapsed-row equivalence.
+"""Kernel backend registry, collapsed-row structure, and the vector
+engines against the object oracle.
 
 The raw-speed tier (``repro.core.kernels``) must change *where* the
-likelihood arithmetic runs, never *what* it computes: every registered
-backend has to reproduce the reference numpy engine's localization on
-every registered scenario.  ``numpy`` keeps the uncollapsed code paths
-(bit-identical to everything ``test_columnar_equivalence`` pins);
-``collapsed`` and ``numba`` re-order float accumulation, so state
-floats are compared to tight tolerances while predictions and the
-structural per-set failed-member counts (``_set_b``) are compared
-exactly.  Backends that are registered but not constructible here
-(numba without the package) skip rather than fail.
+likelihood arithmetic runs, never *what* it computes.  The vector
+engines price collapsed likelihood rows, which re-orders float
+accumulation relative to the object engines (``JleState``,
+``GreedyWithoutJle``, ``LikelihoodModel`` and every scheme's
+``engine="reference"``), so Δ and gains are compared to tight
+tolerances while predictions and the structural per-flow failed-path
+counts are compared exactly - on every registered scenario, with or
+without numba.  The optional ``numba`` backend runs the same sweep and
+is compared with ``numpy`` where it is installed; elsewhere it skips.
 
 Prediction-identity holds up to exact ties: a problem with two
 hypotheses at bitwise-equal likelihood (ECMP sibling links the
 telemetry cannot distinguish) breaks the tie on rounding noise, so a
-reordered backend may pick the symmetric twin.  The registered
-scenario x seed grid below contains no such tie.
+differently-ordered engine may pick the symmetric twin.  The
+registered scenario x seed grid below contains no such tie.
 """
 
 import numpy as np
@@ -28,6 +29,9 @@ from repro.core.flock_fast import (
     VectorJleState,
 )
 from repro.core.flock import FlockInference
+from repro.core.greedy_nojle import GreedyWithoutJle
+from repro.core.jle import JleState
+from repro.core.model import LikelihoodModel
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.core.problem import InferenceProblem
 from repro.errors import InferenceError
@@ -42,9 +46,8 @@ from repro.telemetry import TelemetryConfig
 from repro.telemetry.inputs import build_observation_batch
 from repro.traffic import SpecBatch, UniformTraffic, generate_passive_flows
 
-#: Backends whose layouts differ from the reference and therefore need
-#: the equivalence sweep (numpy *is* the reference).
-FAST_BACKENDS = [n for n in kernels.backend_names() if n != "numpy"]
+#: Every registered backend; each is checked against the object oracle.
+BACKENDS = kernels.backend_names()
 
 #: Registered schemes that run on the vectorized kernel tier.
 KERNEL_SCHEMES = ["flock", "flock-greedy", "sherlock", "sherlock-jle"]
@@ -79,20 +82,28 @@ def _make_problem(tiny_world, scenario_name, seed=7, compressed=True):
     )
 
 
+def _assert_state_matches_oracle(vec: VectorJleState, ref: JleState):
+    assert vec.hypothesis == ref.hypothesis
+    assert np.array_equal(vec.flow_b, np.asarray(ref.flow_b))
+    np.testing.assert_allclose(vec.delta, ref.delta, rtol=1e-8, atol=1e-8)
+    assert vec.ll == pytest.approx(ref.ll, rel=1e-9, abs=1e-9)
+
+
 # --- registry ---------------------------------------------------------
 
 def test_registry_contents():
-    names = kernels.backend_names()
-    assert {"numpy", "collapsed", "numba"} <= set(names)
+    assert kernels.backend_names() == ["numba", "numpy"]
+    assert kernels.DEFAULT_BACKEND == "numpy"
     assert kernels.backend_available("numpy")
-    assert kernels.backend_available("collapsed")
-    available = kernels.available_backend_names()
-    assert "numpy" in available and "collapsed" in available
+    assert "numpy" in kernels.available_backend_names()
 
 
 def test_unknown_backend_rejected(tiny_world):
     with pytest.raises(InferenceError, match="registered"):
         kernels.resolve_backend("warp-drive")
+    # The collapsed layout is the only layout; its old name is gone.
+    with pytest.raises(InferenceError, match="registered: numba, numpy"):
+        kernels.resolve_backend("collapsed")
     # Engines validate at construction, not first localize.
     with pytest.raises(InferenceError, match="registered"):
         FlockInference(DEFAULT_PER_PACKET, kernel_backend="warp-drive")
@@ -102,12 +113,14 @@ def test_unknown_backend_rejected(tiny_world):
 
 def test_env_var_selects_backend(tiny_world, monkeypatch):
     problem = _make_problem(tiny_world, "no-failure")
-    monkeypatch.setenv(kernels.ENV_VAR, "collapsed")
-    arrays = VectorArrays(problem, DEFAULT_PER_PACKET)
-    assert arrays.kernels.name == "collapsed"
+    monkeypatch.setenv(kernels.ENV_VAR, "warp-drive")
+    with pytest.raises(InferenceError, match="warp-drive"):
+        VectorArrays(problem, DEFAULT_PER_PACKET)
     # The explicit argument outranks the environment.
     arrays = VectorArrays(problem, DEFAULT_PER_PACKET, kernel_backend="numpy")
     assert arrays.kernels.name == "numpy"
+    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+    assert VectorArrays(problem, DEFAULT_PER_PACKET).kernels.name == "numpy"
     monkeypatch.delenv(kernels.ENV_VAR)
     arrays = VectorArrays(problem, DEFAULT_PER_PACKET)
     assert arrays.kernels.name == kernels.DEFAULT_BACKEND == "numpy"
@@ -130,7 +143,7 @@ def test_collapsed_row_invariants(tiny_world, scenario_name):
     pure functions of the (interior set, observation bucket) key, so a
     singleton row and a thousand-flow row obey the same check."""
     problem = _make_problem(tiny_world, scenario_name)
-    va = VectorArrays(problem, DEFAULT_PER_PACKET, kernel_backend="collapsed")
+    va = VectorArrays(problem, DEFAULT_PER_PACKET)
     assert va.n_rows <= problem.n_flows
     rof = va._row_of_flow
     iset_of_flow = va.iset_of_set[va.set_of_flow]
@@ -157,81 +170,79 @@ def test_collapse_shrinks_identical_buckets(tiny_world):
     collapsing still merges rows across sets that share an interior
     set and a bucket."""
     com = _make_problem(tiny_world, "no-failure")
-    va_c = VectorArrays(com, DEFAULT_PER_PACKET, kernel_backend="collapsed")
+    va_c = VectorArrays(com, DEFAULT_PER_PACKET)
     assert va_c.n_rows < com.n_flows
     # The uncompressed build factors every set trivially (one interior
     # set per set), so every row is a singleton there: the collapse
     # degenerates to the identity and must still price correctly
     # (test_compressed_and_uncompressed_collapse_agree).
     unc = _make_problem(tiny_world, "no-failure", compressed=False)
-    va_u = VectorArrays(unc, DEFAULT_PER_PACKET, kernel_backend="collapsed")
+    va_u = VectorArrays(unc, DEFAULT_PER_PACKET)
     assert va_u.n_rows == unc.n_flows
     assert va_c.n_rows < va_u.n_rows
 
 
 def test_collapsed_rows_tiny_trace(tiny_world):
     """A near-degenerate trace (few flows, mostly singleton rows) runs
-    the same equivalence the big sweep checks."""
+    the same oracle comparison the big sweep checks."""
     topo, routing = tiny_world
     trace = make_trace(
         topo, routing, make_scenario("silent-link-drops"), seed=5,
         n_passive=50, n_probes=10,
     )
     problem = build_problem(trace, TelemetryConfig.from_spec("A1+A2+P"))
-    ref = VectorJleState(problem, DEFAULT_PER_PACKET)
-    col = VectorJleState(problem, DEFAULT_PER_PACKET, kernel_backend="collapsed")
-    np.testing.assert_allclose(col.delta, ref.delta, rtol=1e-9, atol=1e-9)
+    ref = JleState(problem, DEFAULT_PER_PACKET)
+    vec = VectorJleState(problem, DEFAULT_PER_PACKET)
+    np.testing.assert_allclose(vec.delta, ref.delta, rtol=1e-9, atol=1e-9)
     comp = int(np.argmax(ref.delta))
     ref.flip(comp)
-    col.flip(comp)
-    assert np.array_equal(ref._set_b, col._set_b)
-    np.testing.assert_allclose(col.delta, ref.delta, rtol=1e-8, atol=1e-8)
+    vec.flip(comp)
+    _assert_state_matches_oracle(vec, ref)
 
 
-# --- backend equivalence against the numpy reference ------------------
+# --- vector engines against the object oracle -------------------------
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scenario_name", scenario_names())
 def test_state_equivalence(tiny_world, scenario_name, backend):
     """Initial Δ, greedy flips, removal gains and hypothesis_ll agree
-    with the reference engine; structural state (_set_b) is exact."""
+    with the object engines; per-flow failed-path counts are exact."""
     _require(backend)
     problem = _make_problem(tiny_world, scenario_name)
-    ref = VectorJleState(problem, DEFAULT_PER_PACKET)
-    alt = VectorJleState(problem, DEFAULT_PER_PACKET, kernel_backend=backend)
-    np.testing.assert_allclose(alt.delta, ref.delta, rtol=1e-9, atol=1e-9)
+    ref = JleState(problem, DEFAULT_PER_PACKET)
+    vec = VectorJleState(problem, DEFAULT_PER_PACKET, kernel_backend=backend)
+    np.testing.assert_allclose(vec.delta, ref.delta, rtol=1e-9, atol=1e-9)
 
     for _ in range(4):
         comp = int(np.argmax(ref.delta))
         ref.flip(comp)
-        alt.flip(comp)
-        assert alt.hypothesis == ref.hypothesis
-        assert np.array_equal(alt._set_b, ref._set_b)
-        np.testing.assert_allclose(alt.delta, ref.delta, rtol=1e-8, atol=1e-8)
-        assert alt.ll == pytest.approx(ref.ll, rel=1e-9, abs=1e-9)
+        vec.flip(comp)
+        _assert_state_matches_oracle(vec, ref)
 
     for comp in sorted(ref.hypothesis):
-        assert alt.removal_gain(comp) == pytest.approx(
-            ref.removal_gain(comp), rel=1e-7, abs=1e-7
+        assert vec.removal_gain(comp) == pytest.approx(
+            ref.gain(comp), rel=1e-7, abs=1e-7
         )
     hyp = sorted(ref.hypothesis)
-    assert alt.hypothesis_ll(hyp) == pytest.approx(
-        ref.hypothesis_ll(hyp), rel=1e-7, abs=1e-7
+    model = LikelihoodModel(problem, DEFAULT_PER_PACKET)
+    assert vec.hypothesis_ll(hyp) == pytest.approx(
+        model.log_likelihood(hyp), rel=1e-7, abs=1e-7
     )
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scenario_name", scenario_names())
 def test_greedy_without_jle_equivalence(tiny_world, scenario_name, backend):
-    """The non-JLE greedy (candidate_gain path) localizes identically."""
+    """The non-JLE greedy (candidate_gain path) localizes like the
+    object greedy-only engine."""
     _require(backend)
     problem = _make_problem(tiny_world, scenario_name)
-    ref = VectorGreedyWithoutJle(problem, DEFAULT_PER_PACKET).run()
-    alt = VectorGreedyWithoutJle(
+    ref = GreedyWithoutJle(DEFAULT_PER_PACKET).localize(problem)
+    vec = VectorGreedyWithoutJle(
         problem, DEFAULT_PER_PACKET, kernel_backend=backend
     ).run()
-    assert alt.components == ref.components
-    assert alt.log_likelihood == pytest.approx(
+    assert vec.components == ref.components
+    assert vec.log_likelihood == pytest.approx(
         ref.log_likelihood, rel=1e-9, abs=1e-9
     )
 
@@ -241,9 +252,10 @@ def test_greedy_without_jle_equivalence(tiny_world, scenario_name, backend):
 def test_scheme_predictions_match_across_backends(
     tiny_world, scenario_name, scheme
 ):
-    """Every kernel scheme predicts the same components on every
-    registered backend (scores and log-likelihood to float tolerance,
-    since collapsed/compiled accumulation order differs)."""
+    """Every kernel scheme predicts what its ``engine="reference"``
+    object engine predicts (scores and log-likelihood to float
+    tolerance), and every other installed backend reports exactly what
+    ``numpy`` reports: reported floats are priced per flow."""
     topo, routing = tiny_world
     trace = make_trace(
         topo, routing, make_scenario(scenario_name), seed=7,
@@ -251,47 +263,48 @@ def test_scheme_predictions_match_across_backends(
     )
     setup = make_setup(scheme)
     problem = build_problem(trace, setup.telemetry)
-    reference = build_localizer(scheme, kernel_backend="numpy").localize(
-        problem
+    reference = build_localizer(scheme, engine="reference").localize(problem)
+    pred = build_localizer(scheme).localize(problem)
+    assert pred.components == reference.components
+    assert pred.log_likelihood == pytest.approx(
+        reference.log_likelihood, rel=1e-7, abs=1e-7
     )
-    for backend in FAST_BACKENDS:
-        if not kernels.backend_available(backend):
-            continue
-        pred = build_localizer(scheme, kernel_backend=backend).localize(
+    if reference.scores is None:
+        assert pred.scores is None
+    else:
+        assert set(pred.scores) == set(reference.scores)
+        for comp, score in pred.scores.items():
+            assert score == pytest.approx(
+                reference.scores[comp], rel=1e-7, abs=1e-7
+            )
+    for backend in kernels.available_backend_names():
+        other = build_localizer(scheme, kernel_backend=backend).localize(
             problem
         )
-        assert pred.components == reference.components
-        assert pred.log_likelihood == pytest.approx(
-            reference.log_likelihood, rel=1e-7, abs=1e-7
-        )
-        if reference.scores is None:
-            assert pred.scores is None
-        else:
-            assert set(pred.scores) == set(reference.scores)
-            for comp, score in pred.scores.items():
-                assert score == pytest.approx(
-                    reference.scores[comp], rel=1e-7, abs=1e-7
-                )
+        assert other.components == pred.components
+        assert other.scores == pred.scores
+        assert other.log_likelihood == pred.log_likelihood
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_compressed_and_uncompressed_collapse_agree(tiny_world, backend):
-    """Collapsed pricing is layout-independent: the compressed and
-    uncompressed problem builds localize identically per backend."""
+    """Collapsed rows differ between the compressed and uncompressed
+    builds, yet both localize identically and report bit-identical
+    floats, on every registered scenario."""
     _require(backend)
-    compressed = _make_problem(tiny_world, "silent-link-drops")
-    uncompressed = _make_problem(
-        tiny_world, "silent-link-drops", compressed=False
-    )
-    assert compressed.compressed and not uncompressed.compressed
     localizer = build_localizer("flock", kernel_backend=backend)
-    reference = build_localizer("flock").localize(compressed)
-    for problem in (compressed, uncompressed):
-        pred = localizer.localize(problem)
-        assert pred.components == reference.components
-        assert pred.log_likelihood == pytest.approx(
-            reference.log_likelihood, rel=1e-7, abs=1e-7
+    for scenario_name in scenario_names():
+        compressed = _make_problem(tiny_world, scenario_name)
+        uncompressed = _make_problem(
+            tiny_world, scenario_name, compressed=False
         )
+        assert compressed.compressed and not uncompressed.compressed
+        reference = build_localizer("flock").localize(compressed)
+        for problem in (compressed, uncompressed):
+            pred = localizer.localize(problem)
+            assert pred.components == reference.components
+            assert pred.scores == reference.scores
+            assert pred.log_likelihood == reference.log_likelihood
 
 
 # --- vectorized simulator RNG -----------------------------------------
