@@ -33,7 +33,7 @@ def exact_flow_components(
     ``comps[off[i]:off[i+1]]`` holds the i-th exact flow's *full*
     sorted component ids, assembled straight from the problem CSRs
     (per-set endpoint comps merged with the single member path) - no
-    object views, so compressed problems never expand.
+    object views, so factored problems never expand.
     """
     flows = problem.exact_flow_indices()
     if len(flows) == 0:

@@ -33,7 +33,7 @@ endpoints vectorized.  Scalar accumulations are reproduced with
 ``cumsum`` folds, so estimates match the historical per-path Python
 loops bit for bit.  The device rule walks the component indexes
 (``comp -> paths``, ``comp -> flows``, endpoint columns) instead of the
-object views, so compressed problems never expand.
+object views, so factored problems never expand.
 """
 
 from __future__ import annotations

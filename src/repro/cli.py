@@ -833,7 +833,9 @@ def _stream(args) -> int:
     """Replay a chunked incident and print per-cycle detections."""
     from .errors import CheckpointError
     from .eval.serialize import decode_stream_checkpoint
-    from .eval.stream import StreamMonitor, incident_latencies
+    from .eval.stream import (
+        StreamMonitor, checkpoint_config, incident_latencies,
+    )
     from .routing.ecmp import EcmpRouting
     from .simulation.failures import make_scenario
     from .simulation.stream import replay_stream
@@ -863,17 +865,25 @@ def _stream(args) -> int:
             raise CheckpointError(
                 f"cannot read checkpoint {args.resume}: {exc}"
             ) from None
+        config = checkpoint_config(payload)
         meta = payload["meta"]
-        for key in ("scenario", "preset", "cycles", "flows", "probes",
-                    "onset", "clear"):
+        for key, types in (
+            ("scenario", (str,)), ("preset", (str,)), ("cycles", (int,)),
+            ("flows", (int,)), ("probes", (int,)), ("onset", (int,)),
+            ("clear", (int, type(None))),
+        ):
             if key not in meta:
                 raise CheckpointError(
                     f"checkpoint {args.resume} has no {key!r} in its "
                     "stream metadata; it was not written by "
                     "'repro-flock stream --checkpoint'"
                 )
-        config = payload.get("config", {})
-        topology, chunks = generate(meta, seed=config.get("seed", 0))
+            if type(meta[key]) not in types:
+                raise CheckpointError(
+                    f"checkpoint {args.resume} stream metadata {key!r} "
+                    f"has the wrong type: {meta[key]!r}"
+                )
+        topology, chunks = generate(meta, seed=config["seed"])
         monitor = StreamMonitor.from_checkpoint(
             payload,
             topology,

@@ -11,7 +11,7 @@ Shared structures (:class:`VectorArrays`), built on the problem's *set
 layer*:
 
 * ``path_comps``/``path_off`` - CSR of component ids per problem path
-  (interior projections for compressed problems);
+  (interior projections, plus full projections of exact-path flows);
 * flows reference de-duplicated path sets; sets reference shared
   *interior sets* whose unique member paths carry an integer
   multiplicity column; per-set *endpoint components* sit on every
@@ -26,15 +26,17 @@ The workhorse pattern: count (interior set, component) pairs over
 *good* member paths, expand them to rows, and price each row's flip
 term once through the kernel backend's ``pair_delta`` scatter.
 
-Row layout depends on the problem representation (an uncompressed
-problem gives every set its own interior set), so Δ and the running
-``ll`` of a state differ between representations in the last ulps.
-The floats a :class:`~repro.types.Prediction` reports do not: every
-engine prices its final hypothesis with :meth:`VectorArrays
-.hypothesis_ll` (a per-flow pass in flow order, priors summed in
-component-id order), and greedy scores are differences of two such
-pricings, so compressed, uncompressed and object problems report
-bit-identical likelihoods.
+Row layout depends on how a problem factors its sets: the object
+pipeline (:meth:`~repro.core.problem.InferenceProblem
+.from_observations`, the test oracle) builds the trivial factoring,
+giving every set its own interior set, so Δ and the running ``ll`` of
+a state differ from a :meth:`~repro.core.problem.InferenceProblem
+.from_batch` problem's in the last ulps.  The floats a
+:class:`~repro.types.Prediction` reports do not: every engine prices
+its final hypothesis with :meth:`VectorArrays.hypothesis_ll` (a
+per-flow pass in flow order, priors summed in component-id order), and
+greedy scores are differences of two such pricings, so columnar and
+object problems report bit-identical likelihoods.
 
 Engines built on the substrate:
 
@@ -479,8 +481,6 @@ class VectorJleState(VectorArrays):
     @property
     def path_nfailed(self) -> np.ndarray:
         """Failed-component count per *full* path (object-view ids)."""
-        if not self.problem.compressed:
-            return self._path_nfailed
         hyp = self.hypothesis
         table = self.problem.path_table
         return np.fromiter(

@@ -12,22 +12,23 @@ construction
 * builds the inverted indexes (component -> flows, component -> paths)
   that JLE's update rule walks.
 
-The problem's primary representation is columnar: CSR arrays for
-path -> components, flow -> path ids, component -> flows and
-component -> paths, plus aligned per-flow count arrays.  The vectorized
+The problem has one layout, *factored sets* (see
+:class:`InferenceProblem`): CSR arrays for interior path ->
+components, flow -> set, set -> endpoint components and set -> shared
+interior set, plus aligned per-flow count arrays.  The vectorized
 kernels (:mod:`repro.core.flock_fast`) consume the arrays directly; the
 object views the reference engines and baselines walk (``path_table``,
-``flow_paths``, ``flows_by_comp``, ...) are lazy adapters materialized
-from the arrays on first access, with contents identical to what the
-historical per-flow construction produced.
+``flow_paths``, ``flows_by_comp``, ...) are lazy adapters expanded
+from the arrays on first access.
 
-Two constructors share the representation: :meth:`InferenceProblem
-.from_batch` is the columnar path (grouping is an ``np.unique`` over
-packed key columns; per-observation work is array algebra), and
-:meth:`InferenceProblem.from_observations` the object path kept for
-deserialized datasets and hand-built test problems.  Both produce
-bit-identical problems for the same logical input: local path ids and
-flow groups are numbered in first-appearance order either way.
+Two constructors build the layout: :meth:`InferenceProblem.from_batch`
+is the production path (grouping is an ``np.unique`` over packed key
+columns; per-observation work is array algebra), and
+:meth:`InferenceProblem.from_observations` the object pipeline, kept
+for deserialized datasets, hand-built problems, and as the test oracle
+the columnar build is checked against.  Both produce bit-identical
+object views and predictions for the same logical input: local path
+ids and flow groups are numbered in first-appearance order either way.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class SetStageCache:
     """Persistent :meth:`PathSpace.comp_set_parts` intern for streaming.
 
     A sliding window re-sees almost exactly the path sets of the
-    previous cycle, so :meth:`InferenceProblem._from_grouped_compressed`
-    can skip its per-gsid python walk: this cache stores each seen
+    previous cycle, so :meth:`InferenceProblem._from_grouped` can skip
+    its per-gsid python walk: this cache stores each seen
     gsid's endpoint components, interior-set key, and (per distinct
     key) member array in flat CSR form, and a rebuild gathers the whole
     set stage with a handful of vectorized indexing passes.  The gather
@@ -221,22 +222,21 @@ class SetStageCache:
 class InferenceProblem:
     """Immutable, indexed view of a telemetry snapshot.
 
-    Two representations share this class:
+    One layout, *factored sets*: a flow's path set is stored as
+    *endpoint components* (the host links, present on every member
+    path) plus a reference to an *interior path set* shared by every
+    host pair of the same rack pair.  The problem's path table holds
+    unique interior projections instead of ~pairs x ~w full projections
+    - at the paper's simulation scale this collapses ~9M distinct
+    component paths to a few hundred thousand.  Interior members are
+    de-duplicated per set with an integer multiplicity column; the
+    vectorized kernels (:mod:`repro.core.flock_fast`) weight by it.
 
-    * **Uncompressed** (``compressed == False``): every flow's path set
-      enumerates full per-host-pair component projections.  This is
-      what :meth:`from_observations` builds and what the object views
-      expose either way.
-    * **Compressed** (``compressed == True``, built by
-      :meth:`from_batch`): a flow's path set is stored as *endpoint
-      components* (the host links, present on every member path) plus a
-      reference to an *interior path set* shared by every host pair of
-      the same rack pair.  The problem's path table then holds unique
-      interior projections instead of ~pairs x ~w full projections -
-      at the paper's simulation scale this collapses ~9M distinct
-      component paths to a few hundred thousand.  Interior members are
-      de-duplicated per set with an integer multiplicity column; the
-      vectorized kernels (:mod:`repro.core.flock_fast`) weight by it.
+    :meth:`from_batch` builds the real factoring.  :meth:`from_observations`
+    (the object pipeline: deserialized datasets, hand-built problems,
+    and the test oracle the columnar build is checked against) builds
+    the trivial one - no endpoint components, every distinct path set
+    its own interior set - and both finish through the same indexes.
 
     Attributes
     ----------
@@ -246,8 +246,8 @@ class InferenceProblem:
         Boundary between link ids and device ids.
     path_comps / path_off:
         CSR of component ids per problem path (sorted, de-duplicated
-        per path).  Compressed problems store interior projections
-        here (plus full projections of exact-path flows).
+        per path): interior projections plus full projections of
+        exact-path flows.
     bad_packets / packets_sent / weights:
         Aligned int arrays: ``r``, ``t`` and the group multiplicity.
     exact:
@@ -255,9 +255,8 @@ class InferenceProblem:
     flow_paths / path_table / flows_by_comp / paths_by_comp /
     comps_by_flow / path_component_sets:
         Lazy object views over the arrays (reference engines and
-        baselines); identical contents to the historical eager build -
-        compressed problems expand to the uncompressed view on first
-        access.
+        baselines), expanded to full per-pair projections on first
+        access; identical contents to :meth:`from_observations` output.
     """
 
     def __init__(
@@ -269,23 +268,19 @@ class InferenceProblem:
         bad_packets: np.ndarray,
         packets_sent: np.ndarray,
         weights: np.ndarray,
-        exact: np.ndarray,
         kinds: List[TelemetryKind],
     ) -> None:
-        self.n_components = n_components
-        self.n_links = n_links
-        self.bad_packets = bad_packets
-        self.packets_sent = packets_sent
-        self.weights = weights
-        self.exact = exact
-        self._kinds: Optional[List[TelemetryKind]] = kinds
-        self._kind_codes: Optional[np.ndarray] = None
-        self._path_table: Optional[PathTable] = path_table
-        self._flow_paths: Optional[List[Tuple[int, ...]]] = flow_paths
-        self._path_component_sets: Optional[List[FrozenSet[int]]] = None
+        """Object-view constructor: the trivial factoring of
+        ``flow_paths`` (per-flow path-id tuples into ``path_table``)."""
+        self._init_flows(
+            n_components, n_links, bad_packets, packets_sent, weights,
+            kinds=kinds, kind_codes=None,
+        )
+        self._path_table = path_table
+        self._flow_paths = flow_paths
 
-        # Derive the columnar form, deduplicating flows' path-id tuples
-        # so all union work below happens once per distinct set.
+        # Deduplicate flows' path-id tuples so all union work happens
+        # once per distinct set.
         self.path_comps, self.path_off = _csr_from_tuples(list(path_table))
         set_index: Dict[Tuple[int, ...], int] = {}
         unique_sets: List[Tuple[int, ...]] = []
@@ -298,102 +293,111 @@ class InferenceProblem:
                 unique_sets.append(fp)
             set_of_flow[flow] = sid
         set_pids, set_off = _csr_from_tuples(unique_sets)
-        self._finish(set_of_flow, set_pids, set_off)
+        n_sets = len(unique_sets)
+        self._finish(
+            set_of_flow,
+            set_ecomps=np.empty(0, dtype=np.int64),
+            set_eoff=np.zeros(n_sets + 1, dtype=np.int64),
+            iset_of_set=np.arange(n_sets, dtype=np.int64),
+            iset_raw_pids=set_pids,
+            iset_raw_off=set_off,
+        )
 
-    @classmethod
-    def _from_arrays(
-        cls,
+    def _init_flows(
+        self,
         n_components: int,
         n_links: int,
-        path_comps: np.ndarray,
-        path_off: np.ndarray,
-        set_of_flow: np.ndarray,
-        set_pids: np.ndarray,
-        set_off: np.ndarray,
         bad_packets: np.ndarray,
         packets_sent: np.ndarray,
         weights: np.ndarray,
-        exact: np.ndarray,
-        kinds: List[TelemetryKind],
-    ) -> "InferenceProblem":
-        """Array-native constructor (the columnar pipeline's entry)."""
-        self = cls.__new__(cls)
+        kinds: Optional[List[TelemetryKind]],
+        kind_codes: Optional[np.ndarray],
+    ) -> None:
+        """Per-flow columns shared by both constructors; the object
+        views start unbuilt."""
         self.n_components = n_components
         self.n_links = n_links
         self.bad_packets = bad_packets
         self.packets_sent = packets_sent
         self.weights = weights
-        self.exact = exact
         self._kinds = kinds
-        self._kind_codes = None
-        self._path_table = None
-        self._flow_paths = None
-        self._path_component_sets = None
-        self.path_comps = path_comps
-        self.path_off = path_off
-        self._finish(set_of_flow, set_pids, set_off)
-        return self
+        self._kind_codes = kind_codes
+        self._path_table: Optional[PathTable] = None
+        self._flow_paths: Optional[List[Tuple[int, ...]]] = None
+        self._path_component_sets: Optional[List[FrozenSet[int]]] = None
 
     def _finish(
         self,
         set_of_flow: np.ndarray,
-        set_pids: np.ndarray,
-        set_off: np.ndarray,
+        set_ecomps: np.ndarray,
+        set_eoff: np.ndarray,
+        iset_of_set: np.ndarray,
+        iset_raw_pids: np.ndarray,
+        iset_raw_off: np.ndarray,
     ) -> None:
-        """Build flow CSR and inverted indexes as whole-array passes."""
+        """Build the set layer and inverted indexes, interior-set
+        granular, as whole-array passes."""
         n_comps = np.int64(self.n_components)
-        n_flows = len(set_of_flow)
-        n_sets = len(set_off) - 1
-        n_paths = len(self.path_off) - 1
-        self.compressed = False
+        n_sets = len(iset_of_set)
+        n_isets = len(iset_raw_off) - 1
         self._set_of_flow = set_of_flow
-        self._set_pids = set_pids
-        self._set_off = set_off
+        self._init_comp_paths(len(self.path_off) - 1)
+        self._init_unified(
+            set_ecomps, set_eoff, iset_of_set, iset_raw_pids, iset_raw_off
+        )
+        self.exact = self._set_w[set_of_flow] == 1
 
-        self._init_comp_paths(n_paths)
-
-        # Per-set sorted component unions via one unique over packed
-        # (set, component) keys.
-        set_lens = np.diff(set_off)
+        # Sorted component unions per interior set (work is per iset,
+        # not per set - the factoring's whole point).
         pc_lens = np.diff(self.path_off)
-        inst_counts = pc_lens[set_pids]
-        inst_set = np.repeat(
-            np.repeat(np.arange(n_sets, dtype=np.int64), set_lens), inst_counts
+        u_lens = np.diff(self._iset_uoff)
+        inst_counts = pc_lens[self._iset_upids]
+        inst_iset = np.repeat(
+            np.repeat(np.arange(n_isets, dtype=np.int64), u_lens), inst_counts
         )
         inst_comp = self.path_comps[
-            _expand_slices(self.path_off[set_pids], inst_counts)
+            _expand_slices(self.path_off[self._iset_upids], inst_counts)
         ]
-        keys = np.unique(inst_set * n_comps + inst_comp)
-        self._set_union_comps: Optional[np.ndarray] = keys % n_comps
-        sets_u = keys // n_comps
+        ukeys = np.unique(inst_iset * n_comps + inst_comp)
+        iu_comps = ukeys % n_comps
+        iu_bounds = np.searchsorted(
+            ukeys // n_comps, np.arange(n_isets + 1, dtype=np.int64)
+        )
+
+        # Per-set sorted unions = endpoint comps merged with the shared
+        # interior union (disjoint by construction: endpoints are host
+        # links, interiors are switch-level comps), via one global sort
+        # over packed keys.
+        e_lens = np.diff(set_eoff)
+        iu_set_lens = np.diff(iu_bounds)[iset_of_set]
+        set_ids = np.arange(n_sets, dtype=np.int64)
+        all_sets = np.concatenate([
+            np.repeat(set_ids, e_lens), np.repeat(set_ids, iu_set_lens),
+        ])
+        all_comps = np.concatenate([
+            set_ecomps,
+            iu_comps[_expand_slices(iu_bounds[iset_of_set], iu_set_lens)],
+        ])
+        skeys = np.sort(all_sets * n_comps + all_comps)
+        self._set_union_comps: Optional[np.ndarray] = skeys % n_comps
         self._set_union_bounds: Optional[np.ndarray] = np.searchsorted(
-            sets_u, np.arange(n_sets + 1, dtype=np.int64)
+            skeys // n_comps, np.arange(n_sets + 1, dtype=np.int64)
         )
 
         self._defer_comp_flows()
-
-        # Unified set layer: the uncompressed problem is the trivial
-        # factoring - every set is its own interior set with no
-        # endpoint components.
-        empty = np.zeros(n_sets + 1, dtype=np.int64)
-        self._init_unified(
-            set_ecomps=np.empty(0, dtype=np.int64),
-            set_eoff=empty,
-            iset_of_set=np.arange(n_sets, dtype=np.int64),
-            iset_raw_pids=set_pids,
-            iset_raw_off=set_off,
-        )
-        self._init_views()
+        self._flows_by_comp: Optional[Dict[int, List[int]]] = None
+        self._paths_by_comp: Optional[Dict[int, List[int]]] = None
+        self._comps_by_flow: Optional[List[Tuple[int, ...]]] = None
 
     def _init_comp_paths(self, n_paths: int) -> None:
         """component -> paths: stable sort keeps pids ascending per key."""
         pc_lens = np.diff(self.path_off)
         pid_of = np.repeat(np.arange(n_paths, dtype=np.int64), pc_lens)
         order = _small_key_argsort(self.path_comps, self.n_components)
-        self._comp_path_keys = self.path_comps[order]
         self._comp_path_vals = pid_of[order]
         self._comp_path_bounds = np.searchsorted(
-            self._comp_path_keys, np.arange(self.n_components + 1, dtype=np.int64)
+            self.path_comps[order],
+            np.arange(self.n_components + 1, dtype=np.int64),
         )
 
     def _defer_comp_flows(self) -> None:
@@ -486,8 +490,8 @@ class InferenceProblem:
         Sets reference shared *interior sets* (``iset``); interior
         members are de-duplicated with an integer multiplicity column.
         ``set_ecomps`` holds each set's endpoint components (sorted,
-        disjoint from every member's interior components; empty for
-        uncompressed problems).
+        disjoint from every member's interior components; empty in the
+        trivial factoring).
         """
         n_sets = len(iset_of_set)
         n_isets = len(iset_raw_off) - 1
@@ -536,11 +540,6 @@ class InferenceProblem:
                 self.n_components + 1, dtype=np.int64
             )
 
-    def _init_views(self) -> None:
-        self._flows_by_comp: Optional[Dict[int, List[int]]] = None
-        self._paths_by_comp: Optional[Dict[int, List[int]]] = None
-        self._comps_by_flow: Optional[List[Tuple[int, ...]]] = None
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -574,14 +573,12 @@ class InferenceProblem:
         bad: List[int] = []
         sent: List[int] = []
         weights: List[int] = []
-        exact: List[bool] = []
         kinds: List[TelemetryKind] = []
         for (path_ids, r, t, kind), (count,) in grouped.items():
             flow_paths.append(path_ids)
             bad.append(r)
             sent.append(t)
             weights.append(count)
-            exact.append(len(path_ids) == 1)
             kinds.append(kind)
         return cls(
             n_components=n_components,
@@ -591,7 +588,6 @@ class InferenceProblem:
             bad_packets=np.asarray(bad, dtype=np.int64),
             packets_sent=np.asarray(sent, dtype=np.int64),
             weights=np.asarray(weights, dtype=np.int64),
-            exact=np.asarray(exact, dtype=bool),
             kinds=kinds,
         )
 
@@ -601,22 +597,18 @@ class InferenceProblem:
         batch: "ObservationBatch",
         n_components: int,
         n_links: int,
-        compressed: bool = True,
     ) -> "InferenceProblem":
         """Build the problem from a columnar observation batch.
 
         Grouping is one ``np.unique`` over the packed
         (path-set, bad, sent, kind) key columns, reordered to
-        first-appearance order so groups - and the path table's local
-        ids - come out exactly as :meth:`from_observations` would
-        produce them for the same rows.
-
-        ``compressed=True`` (the default) keeps factored pair sets
-        factored: the problem's path table holds unique *interior*
-        projections shared across every host pair of a rack pair, plus
-        per-set endpoint components.  ``compressed=False`` expands
-        every set to full per-pair projections (the historical layout);
-        predictions are bit-identical between the two.
+        first-appearance order so groups - and the object views' local
+        path ids - come out exactly as :meth:`from_observations` would
+        produce them for the same rows.  Factored pair sets stay
+        factored: the path table holds unique *interior* projections
+        shared across every host pair of a rack pair, plus per-set
+        endpoint components.  Predictions are bit-identical to the
+        object pipeline's.
         """
         if len(batch) == 0:
             return cls.from_observations([], n_components, n_links)
@@ -632,7 +624,6 @@ class InferenceProblem:
             counts.astype(np.int64),
             n_components,
             n_links,
-            compressed=compressed,
         )
 
     @classmethod
@@ -646,7 +637,6 @@ class InferenceProblem:
         weights: np.ndarray,
         n_components: int,
         n_links: int,
-        compressed: bool = True,
         parts_cache: Optional["SetStageCache"] = None,
     ) -> "InferenceProblem":
         """Build from already-grouped rows in first-appearance order.
@@ -657,101 +647,19 @@ class InferenceProblem:
         (:class:`repro.core.window.WindowedProblem`) lands here after
         merging per-chunk grouped tables - the shared entry is what
         makes windowed problems bit-identical to batch rebuilds.
-        ``parts_cache`` optionally carries a :class:`SetStageCache`
-        interning :meth:`PathSpace.comp_set_parts` across builds.
-        """
-        if n_links > n_components:
-            raise InferenceError("n_links cannot exceed n_components")
-        from ..telemetry.inputs import KIND_ORDER
-
-        if len(rep_gsids) == 0:
-            return cls.from_observations([], n_components, n_links)
-
-        if compressed:
-            return cls._from_grouped_compressed(
-                space, rep_gsids, bad, sent, kind_codes, weights,
-                n_components, n_links, parts_cache,
-            )
-
-        # Local path ids are assigned in first-appearance order, which
-        # factors through path *sets*: a gid's first appearance is
-        # always inside the first occurrence of its set (same set ->
-        # same gids), so scanning distinct sets in first-seen order
-        # reproduces the per-observation interning order exactly - and
-        # each set's local-id segment is computed once, not per group.
-        ordered_gsids, set_of_flow = first_seen_ids(rep_gsids)
-
-        member_arrays = [space.comp_set(int(g)) for g in ordered_gsids.tolist()]
-        set_lens = np.fromiter(
-            (len(a) for a in member_arrays),
-            dtype=np.int64,
-            count=len(member_arrays),
-        )
-        set_off = np.zeros(len(member_arrays) + 1, dtype=np.int64)
-        np.cumsum(set_lens, out=set_off[1:])
-        flat_gids = (
-            np.concatenate(member_arrays) if member_arrays
-            else np.empty(0, dtype=np.int64)
-        )
-
-        # Global -> local path ids, first-seen over the flat scan.
-        local_gids, set_pids = first_seen_ids(flat_gids)
-
-        # Local path -> components CSR, gathered from the space's
-        # global CSR in local-id order.
-        cc_flat, cc_off = space.comp_csr()
-        path_lens = cc_off[local_gids + 1] - cc_off[local_gids]
-        path_off = np.zeros(len(local_gids) + 1, dtype=np.int64)
-        np.cumsum(path_lens, out=path_off[1:])
-        path_comps = cc_flat[_expand_slices(cc_off[local_gids], path_lens)]
-
-        # Component ids projected from the problem's own topology are in
-        # range by construction; only a mismatched space needs the scan.
-        if space.topology.n_components != n_components and len(path_comps):
-            bad_mask = (path_comps < 0) | (path_comps >= n_components)
-            if np.any(bad_mask):
-                raise InferenceError(
-                    f"component id {int(path_comps[bad_mask][0])} outside "
-                    f"[0, {n_components})"
-                )
-
-        return cls._from_arrays(
-            n_components=n_components,
-            n_links=n_links,
-            path_comps=path_comps,
-            path_off=path_off,
-            set_of_flow=set_of_flow,
-            set_pids=set_pids,
-            set_off=set_off,
-            bad_packets=bad,
-            packets_sent=sent,
-            weights=weights,
-            exact=set_lens[set_of_flow] == 1,
-            kinds=[KIND_ORDER[code] for code in kind_codes.tolist()],
-        )
-
-    @classmethod
-    def _from_grouped_compressed(
-        cls,
-        space,
-        rep_gsids: np.ndarray,
-        bad: np.ndarray,
-        sent: np.ndarray,
-        kind_codes: np.ndarray,
-        weights: np.ndarray,
-        n_components: int,
-        n_links: int,
-        parts_cache: Optional["SetStageCache"] = None,
-    ) -> "InferenceProblem":
-        """Compressed problem build: sets stay factored.
 
         Each distinct path set contributes its endpoint components and
         a reference to a shared interior member array
         (:meth:`PathSpace.comp_set_parts`); the local path table interns
-        only distinct interior/exact projections.  At paper scale this
-        is what keeps the build - and every kernel that runs on it -
-        tractable.
+        only distinct interior/exact projections.  ``parts_cache``
+        optionally carries a :class:`SetStageCache` interning
+        ``comp_set_parts`` across builds.
         """
+        if n_links > n_components:
+            raise InferenceError("n_links cannot exceed n_components")
+        if len(rep_gsids) == 0:
+            return cls.from_observations([], n_components, n_links)
+
         ordered_gsids, set_of_flow = first_seen_ids(rep_gsids)
         n_sets = len(ordered_gsids)
 
@@ -834,89 +742,19 @@ class InferenceProblem:
                         )
 
         self = cls.__new__(cls)
-        self.n_components = n_components
-        self.n_links = n_links
-        self.bad_packets = bad
-        self.packets_sent = sent
-        self.weights = weights
         # kinds materialize lazily from the codes: nothing on the
         # steady-state streaming path reads them.
-        self._kinds = None
-        self._kind_codes = kind_codes
-        self._path_table = None
-        self._flow_paths = None
-        self._path_component_sets = None
+        self._init_flows(
+            n_components, n_links, bad, sent, weights,
+            kinds=None, kind_codes=kind_codes,
+        )
         self.path_comps = path_comps
         self.path_off = path_off
-        self._finish_compressed(
+        self._finish(
             set_of_flow, set_ecomps, set_eoff,
             iset_of_set, iset_raw_pids, iset_raw_off,
         )
-        self.exact = self._set_w[set_of_flow] == 1
         return self
-
-    def _finish_compressed(
-        self,
-        set_of_flow: np.ndarray,
-        set_ecomps: np.ndarray,
-        set_eoff: np.ndarray,
-        iset_of_set: np.ndarray,
-        iset_raw_pids: np.ndarray,
-        iset_raw_off: np.ndarray,
-    ) -> None:
-        """Indexes for the compressed layout, interior-set granular."""
-        n_comps = np.int64(self.n_components)
-        n_sets = len(iset_of_set)
-        n_isets = len(iset_raw_off) - 1
-        n_paths = len(self.path_off) - 1
-        self.compressed = True
-        self._set_of_flow = set_of_flow
-        self._set_pids = None
-        self._set_off = None
-        self._init_comp_paths(n_paths)
-        self._init_unified(
-            set_ecomps, set_eoff, iset_of_set, iset_raw_pids, iset_raw_off
-        )
-
-        # Sorted component unions per interior set (work is per iset,
-        # not per set - the compression's whole point).
-        pc_lens = np.diff(self.path_off)
-        u_lens = np.diff(self._iset_uoff)
-        inst_counts = pc_lens[self._iset_upids]
-        inst_iset = np.repeat(
-            np.repeat(np.arange(n_isets, dtype=np.int64), u_lens), inst_counts
-        )
-        inst_comp = self.path_comps[
-            _expand_slices(self.path_off[self._iset_upids], inst_counts)
-        ]
-        ukeys = np.unique(inst_iset * n_comps + inst_comp)
-        iu_comps = ukeys % n_comps
-        iu_bounds = np.searchsorted(
-            ukeys // n_comps, np.arange(n_isets + 1, dtype=np.int64)
-        )
-
-        # Per-set sorted unions = endpoint comps merged with the shared
-        # interior union (disjoint by construction: endpoints are host
-        # links, interiors are switch-level comps), via one global sort
-        # over packed keys.
-        e_lens = np.diff(set_eoff)
-        iu_set_lens = np.diff(iu_bounds)[iset_of_set]
-        set_ids = np.arange(n_sets, dtype=np.int64)
-        all_sets = np.concatenate([
-            np.repeat(set_ids, e_lens), np.repeat(set_ids, iu_set_lens),
-        ])
-        all_comps = np.concatenate([
-            set_ecomps,
-            iu_comps[_expand_slices(iu_bounds[iset_of_set], iu_set_lens)],
-        ])
-        skeys = np.sort(all_sets * n_comps + all_comps)
-        self._set_union_comps = skeys % n_comps
-        self._set_union_bounds = np.searchsorted(
-            skeys // n_comps, np.arange(n_sets + 1, dtype=np.int64)
-        )
-
-        self._defer_comp_flows()
-        self._init_views()
 
     # ------------------------------------------------------------------
     # Array accessors (the vectorized kernels' interface)
@@ -951,9 +789,8 @@ class InferenceProblem:
     def comp_path_ids(self, comp: int) -> np.ndarray:
         """Problem paths containing ``comp`` (ascending, array view).
 
-        Compressed problems index their interior/exact path table here;
-        endpoint components map to sets via :meth:`comp_eset_ids`
-        instead.
+        This indexes the interior/exact path table; endpoint components
+        map to sets via :meth:`comp_eset_ids` instead.
         """
         return self._comp_path_vals[
             self._comp_path_bounds[comp]:self._comp_path_bounds[comp + 1]
@@ -969,7 +806,7 @@ class InferenceProblem:
     # Lazy object views (reference engines, baselines, tests)
     # ------------------------------------------------------------------
     def _materialize_object_paths(self) -> None:
-        """Expand a compressed problem to the uncompressed object view.
+        """Expand the factored sets to the object view.
 
         Full member projections are the (disjoint) union of each set's
         endpoint comps and its interior projections; scanning sets in
@@ -1024,17 +861,9 @@ class InferenceProblem:
     def path_table(self) -> PathTable:
         """Interning table of the problem's *full* component paths
         (lazy; object-view semantics, identical to
-        :meth:`from_observations` output either way)."""
+        :meth:`from_observations` output)."""
         if self._path_table is None:
-            if self.compressed:
-                self._materialize_object_paths()
-            else:
-                table = PathTable()
-                comps = self.path_comps.tolist()
-                for start, stop in zip(self.path_off[:-1].tolist(),
-                                       self.path_off[1:].tolist()):
-                    table.intern_canonical(tuple(comps[start:stop]))
-                self._path_table = table
+            self._materialize_object_paths()
         return self._path_table
 
     @property
@@ -1042,18 +871,7 @@ class InferenceProblem:
         """Per-flow interned path-id tuples (lazy; tuples are shared
         between flows with the same path set)."""
         if self._flow_paths is None:
-            if self.compressed:
-                self._materialize_object_paths()
-            else:
-                pids = self._set_pids.tolist()
-                set_tuples = [
-                    tuple(pids[start:stop])
-                    for start, stop in zip(self._set_off[:-1].tolist(),
-                                           self._set_off[1:].tolist())
-                ]
-                self._flow_paths = [
-                    set_tuples[s] for s in self._set_of_flow.tolist()
-                ]
+            self._materialize_object_paths()
         return self._flow_paths
 
     @property
@@ -1078,18 +896,13 @@ class InferenceProblem:
     @property
     def paths_by_comp(self) -> Dict[int, List[int]]:
         """{component: ascending path ids} (lazy view; object-view path
-        ids, i.e. full projections for compressed problems)."""
+        ids, i.e. full projections)."""
         if self._paths_by_comp is None:
-            if self.compressed:
-                out: Dict[int, List[int]] = {}
-                for pid, comps in enumerate(self.path_table):
-                    for comp in comps:
-                        out.setdefault(comp, []).append(pid)
-                self._paths_by_comp = out
-            else:
-                self._paths_by_comp = _split_sorted(
-                    self._comp_path_keys, self._comp_path_vals
-                )
+            out: Dict[int, List[int]] = {}
+            for pid, comps in enumerate(self.path_table):
+                for comp in comps:
+                    out.setdefault(comp, []).append(pid)
+            self._paths_by_comp = out
         return self._paths_by_comp
 
     @property
@@ -1125,13 +938,11 @@ class InferenceProblem:
         """Number of *full* component paths (object-view semantics).
 
         Reference engines size their per-path state by this and index
-        it with :attr:`flow_paths` ids; compressed problems therefore
-        report the materialized object table's size.  Kernels index the
-        compressed table via ``len(path_off) - 1`` instead.
+        it with :attr:`flow_paths` ids, so this is the materialized
+        object table's size.  Kernels index the interior/exact table via
+        ``len(path_off) - 1`` instead.
         """
-        if self.compressed:
-            return len(self.path_table)
-        return len(self.path_off) - 1
+        return len(self.path_table)
 
     def is_device(self, comp: int) -> bool:
         return comp >= self.n_links
@@ -1163,11 +974,9 @@ class InferenceProblem:
     def describe(self) -> str:
         """One-line summary, handy in logs and experiment reports."""
         observed = len(self.observed_components)
-        paths = len(self.path_off) - 1
-        kind = "interior paths" if self.compressed else "paths"
         return (
             f"InferenceProblem(flows={self.total_flows} grouped to "
-            f"{self.n_flows}, {kind}={paths}, "
+            f"{self.n_flows}, kernel paths={len(self.path_off) - 1}, "
             f"components={observed} observed of "
             f"{self.n_components})"
         )

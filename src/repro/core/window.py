@@ -109,7 +109,6 @@ class WindowedProblem:
         n_components: int,
         n_links: int,
         window: int,
-        compressed: bool = True,
     ) -> None:
         if window < 1:
             raise InferenceError("window must retain at least one chunk")
@@ -118,13 +117,12 @@ class WindowedProblem:
         self.n_components = n_components
         self.n_links = n_links
         self.window = window
-        self.compressed = compressed
         self._chunks: Deque[_Chunk] = deque()
         self._space = None
         # Interned PathSpace.comp_set_parts results survive across
         # cycles: a steady-state window re-sees mostly known path sets,
-        # so the compressed set stage gathers from flat cached arrays
-        # and touches the space only for ids new to the stream.
+        # so the set stage gathers from flat cached arrays and touches
+        # the space only for ids new to the stream.
         self._parts_cache = SetStageCache()
         self._problem: Optional[InferenceProblem] = None
 
@@ -234,7 +232,6 @@ class WindowedProblem:
             self._space,
             gsid[rep], bad[rep], sent[rep], kind[rep], weights,
             self.n_components, self.n_links,
-            compressed=self.compressed,
             parts_cache=self._parts_cache,
         )
 

@@ -22,10 +22,6 @@ Presets:
 
 The paper-reported numbers each experiment should be compared against
 are recorded in each spec's ``notes``.
-
-The legacy driver functions (``fig2_tradeoff``, ``table1_robustness``,
-...) remain as thin wrappers over :func:`~repro.eval.spec.run_experiment`
-and return bit-identical metrics for fixed seeds.
 """
 
 from __future__ import annotations
@@ -68,7 +64,6 @@ from .schemes import (
 )
 from .spec import (
     PRESETS,
-    ExperimentResult,
     ExperimentSpec,
     GridPoint,
     Overrides,
@@ -83,7 +78,6 @@ from .spec import (
     register_extras,
     register_probe,
     register_topology,
-    run_experiment,
 )
 
 _check_preset = check_preset
@@ -1482,64 +1476,3 @@ def build_stream_monitor(preset: str, seed: int, ov: Overrides) -> ExperimentSpe
             "latency for a mid-stream gray drift"
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Legacy driver API (thin wrappers over the registry)
-# ----------------------------------------------------------------------
-
-
-def fig2_tradeoff(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig2", preset=preset, seed=seed, runner=runner)
-
-
-def fig2c_device_failures(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig2c", preset=preset, seed=seed, runner=runner)
-
-
-def fig3_snr(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig3", preset=preset, seed=seed, runner=runner)
-
-
-def fig4a_queue_misconfig(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig4a", preset=preset, seed=seed, runner=runner)
-
-
-def fig4b_link_flap(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig4b", preset=preset, seed=seed, runner=runner)
-
-
-def fig4c_runtime(preset="ci", seed=None) -> ExperimentResult:
-    return run_experiment("fig4c", preset=preset, seed=seed)
-
-
-def fig4d_scheme_runtime(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig4d", preset=preset, seed=seed, runner=runner)
-
-
-def fig5_irregular(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig5", preset=preset, seed=seed, runner=runner)
-
-
-def fig5c_passive_hard(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig5c", preset=preset, seed=seed, runner=runner)
-
-
-def table1_robustness(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("table1", preset=preset, seed=seed, runner=runner)
-
-
-def fig6_worked_example() -> ExperimentResult:
-    return run_experiment("fig6")
-
-
-def fig8a_sensitivity(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig8a", preset=preset, seed=seed, runner=runner)
-
-
-def fig8b_priors(preset="ci", seed=None, runner=None) -> ExperimentResult:
-    return run_experiment("fig8b", preset=preset, seed=seed, runner=runner)
-
-
-def scan_rate(preset="ci", seed=None) -> ExperimentResult:
-    return run_experiment("scan-rate", preset=preset, seed=seed)

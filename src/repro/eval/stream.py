@@ -158,6 +158,63 @@ def incident_latencies(reports: List[CycleReport]) -> List[Dict[str, object]]:
     return incidents
 
 
+_PAYLOAD_KEYS = (
+    "config", "meta", "cursor", "cycles", "degraded_cycles",
+    "ingested", "chunks", "state", "contribs",
+    "prev_components", "prev_prediction",
+)
+
+_CONFIG_TYPES = {
+    "scheme": (str,),
+    "window": (int,),
+    "seed": (int,),
+    "warm": (bool,),
+    "cycle_budget": (int, float, type(None)),
+    "n_components": (int,),
+    "n_links": (int,),
+}
+
+
+def checkpoint_config(payload: Dict) -> Dict:
+    """Validate a decoded checkpoint payload's shape; return its config.
+
+    Checks the top-level keys, that ``meta`` is an object, and every
+    config key's JSON type, so a malformed (but checksum-valid) file
+    fails as :class:`~repro.errors.CheckpointError` instead of a
+    ``KeyError``/``TypeError`` deep inside the restore.  Checkpoints
+    from before the ``compressed`` knob was retired carry
+    ``"compressed": true``, which is the only layout and is accepted;
+    ``false`` is refused because that file's warm Δ was summed over a
+    different row layout.
+    """
+    if not isinstance(payload, dict):
+        raise CheckpointError("checkpoint payload must be an object")
+    for key in _PAYLOAD_KEYS:
+        if key not in payload:
+            raise CheckpointError(f"checkpoint payload is missing {key!r}")
+    if not isinstance(payload["meta"], dict):
+        raise CheckpointError("checkpoint meta must be an object")
+    config = payload["config"]
+    if not isinstance(config, dict):
+        raise CheckpointError("checkpoint config must be an object")
+    for key, types in _CONFIG_TYPES.items():
+        if key not in config:
+            raise CheckpointError(f"checkpoint config is missing {key!r}")
+        # Exact JSON types: a bool is not accepted as an int.
+        if type(config[key]) not in types:
+            raise CheckpointError(
+                f"checkpoint config {key!r} has the wrong type: "
+                f"{config[key]!r}"
+            )
+    if "compressed" in config and config["compressed"] is not True:
+        raise CheckpointError(
+            f"checkpoint config has 'compressed': {config['compressed']!r}; "
+            "only the factored problem layout can be resumed - restart "
+            "the stream cold"
+        )
+    return config
+
+
 class StreamMonitor:
     """Drive ingest -> window update -> localize over a chunk stream."""
 
@@ -168,7 +225,6 @@ class StreamMonitor:
         window: int = 4,
         warm: bool = True,
         seed: int = 0,
-        compressed: bool = True,
         setup: Optional[SchemeSetup] = None,
         cycle_budget: Optional[float] = None,
         clock=time.perf_counter,
@@ -212,7 +268,6 @@ class StreamMonitor:
             n_components=topology.n_components,
             n_links=topology.n_links,
             window=window,
-            compressed=compressed,
         )
         self._state: Optional[VectorJleState] = None
         # Per retained chunk, the DeltaContrib its rows were priced at
@@ -447,7 +502,6 @@ class StreamMonitor:
                 "window": self.window,
                 "seed": int(self.seed),
                 "warm": bool(self.warm),
-                "compressed": bool(self.windowed.compressed),
                 "cycle_budget": self.cycle_budget,
                 "n_components": int(self.topology.n_components),
                 "n_links": int(self.topology.n_links),
@@ -534,19 +588,10 @@ class StreamMonitor:
         the chunks with ``index >= monitor.cursor`` produces cycle
         reports bit-identical (timings aside) to the uninterrupted run.
         """
-        for key in (
-            "config", "meta", "cursor", "cycles", "degraded_cycles",
-            "ingested", "chunks", "state", "contribs",
-            "prev_components", "prev_prediction",
-        ):
-            if key not in payload:
-                raise CheckpointError(
-                    f"checkpoint payload is missing {key!r}"
-                )
-        config = payload["config"]
+        config = checkpoint_config(payload)
         if (
-            int(config["n_components"]) != topology.n_components
-            or int(config["n_links"]) != topology.n_links
+            config["n_components"] != topology.n_components
+            or config["n_links"] != topology.n_links
         ):
             raise CheckpointError(
                 f"checkpoint was taken on a fabric with "
@@ -558,10 +603,9 @@ class StreamMonitor:
         monitor = cls(
             topology,
             scheme=config["scheme"],
-            window=int(config["window"]),
-            warm=bool(config["warm"]),
-            seed=int(config["seed"]),
-            compressed=bool(config["compressed"]),
+            window=config["window"],
+            warm=config["warm"],
+            seed=config["seed"],
             cycle_budget=config["cycle_budget"],
             clock=clock,
             checkpoint_every=1 if checkpoint_every is None else checkpoint_every,

@@ -181,7 +181,7 @@ class _FactoredCompSet:
     host links of the pair); ``switch_gsid`` is the component path-set
     id of the rack pair's switch-level projections, shared by all host
     pairs of the rack pair.  Full member projections materialize lazily
-    (:meth:`PathSpace.comp_set`); the compressed problem build consumes
+    (:meth:`PathSpace.comp_set`); the problem build consumes
     the parts directly (:meth:`PathSpace.comp_set_parts`).
     """
 
@@ -528,7 +528,7 @@ class PathSpace:
         Factored sets expand lazily: each member's full projection is
         the (disjoint) union of the endpoint comps and one interior
         projection.  Only adapters and lazy object views call this for
-        factored sets; the compressed pipeline uses
+        factored sets; the problem build uses
         :meth:`comp_set_parts`.
         """
         entry = self._comp_sets[gsid]
@@ -564,7 +564,7 @@ class PathSpace:
         ``("f", switch_gsid)``; for a plain set the members are the full
         projections, the endpoint array is empty, and the key is
         ``("p", gsid)``.  Two sets with equal keys share identical
-        member arrays - the compressed problem build interns its
+        member arrays - the problem build interns its
         interior path table once per distinct key.
         """
         entry = self._comp_sets[gsid]

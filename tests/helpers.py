@@ -12,10 +12,25 @@ from hypothesis import strategies as st
 
 from repro.core.params import FlockParams
 from repro.core.problem import InferenceProblem
+from repro.eval.scenarios import Trace
 from repro.types import FlowObservation
 
 PARAMS = FlockParams(pg=7e-4, pb=6e-3, rho=1e-4)
 N_COMPS = 10
+
+
+def records_only(trace: Trace) -> Trace:
+    """A records-only clone of ``trace``: ``build_problem`` then takes
+    the object pipeline (``from_observations``), the oracle the
+    columnar build is checked against."""
+    return Trace(
+        topology=trace.topology,
+        routing=trace.routing,
+        injection=trace.injection,
+        records=trace.records,
+        seed=trace.seed,
+        meta=dict(trace.meta),
+    )
 
 
 @st.composite

@@ -12,13 +12,13 @@ tiny preset.
 import numpy as np
 import pytest
 
+from helpers import records_only
 from repro.core.gibbs import GibbsInference
 from repro.core.params import DEFAULT_PER_PACKET
 from repro.core.problem import InferenceProblem
 from repro.eval.experiments import standard_topology
-from repro.eval.harness import build_problem, effective_telemetry
-from repro.eval.scenarios import Trace, make_trace
-from repro.telemetry.inputs import build_observation_batch
+from repro.eval.harness import build_problem
+from repro.eval.scenarios import make_trace
 from repro.eval.schemes import make_setup, scheme_names
 from repro.routing import EcmpRouting, PathSpace
 from repro.simulation import DropRatePlan, FlowLevelSimulator, SilentLinkDrops
@@ -29,21 +29,10 @@ from repro.topology import fat_tree
 from repro.traffic import SpecBatch, UniformTraffic, generate_passive_flows
 
 
-def _strip_batch(trace: Trace) -> Trace:
-    """A records-only clone that forces the object pipeline."""
-    return Trace(
-        topology=trace.topology,
-        routing=trace.routing,
-        injection=trace.injection,
-        records=trace.records,
-        seed=trace.seed,
-        meta=dict(trace.meta),
-    )
-
-
 def _assert_problems_identical(col: InferenceProblem, obj: InferenceProblem):
     assert col.flow_paths == obj.flow_paths
     assert list(col.path_table) == list(obj.path_table)
+    assert col.n_paths == obj.n_paths
     assert np.array_equal(col.bad_packets, obj.bad_packets)
     assert np.array_equal(col.packets_sent, obj.packets_sent)
     assert np.array_equal(col.weights, obj.weights)
@@ -68,7 +57,7 @@ def test_problem_identical_across_registered_scenarios(tiny_world, scenario_name
     trace = make_trace(
         topo, routing, scenario, seed=42, n_passive=1_200, n_probes=200,
     )
-    object_trace = _strip_batch(trace)
+    object_trace = records_only(trace)
     for spec in ("A1+A2+P", "INT", "A2", "A1+P", "P"):
         telemetry = TelemetryConfig.from_spec(spec)
         col = build_problem(trace, telemetry)
@@ -79,10 +68,8 @@ def test_problem_identical_across_registered_scenarios(tiny_world, scenario_name
 @pytest.mark.parametrize("scenario_name", scenario_names())
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_scheme_predictions_identical(tiny_world, scenario_name, scheme):
-    """Every scheme's prediction is bit-identical across all three
-    problem representations: compressed (from_batch), uncompressed
-    (from_batch(compressed=False)), and the object pipeline
-    (from_observations)."""
+    """Every scheme's prediction is bit-identical between the columnar
+    build (from_batch) and the object pipeline (from_observations)."""
     topo, routing = tiny_world
     trace = make_trace(
         topo, routing, make_scenario(scenario_name), seed=7,
@@ -90,46 +77,12 @@ def test_scheme_predictions_identical(tiny_world, scenario_name, scheme):
     )
     setup = make_setup(scheme)
     col = build_problem(trace, setup.telemetry)
-    assert col.compressed
-    obs_batch = build_observation_batch(
-        trace.batch, effective_telemetry(trace, setup.telemetry),
-        np.random.default_rng(trace.seed + 0x5EED),
-    )
-    unc = InferenceProblem.from_batch(
-        obs_batch, topo.n_components, topo.n_links, compressed=False
-    )
-    assert not unc.compressed
-    obj = build_problem(_strip_batch(trace), setup.telemetry)
+    obj = build_problem(records_only(trace), setup.telemetry)
     pred_col = setup.localizer.localize(col)
-    pred_unc = setup.localizer.localize(unc)
     pred_obj = setup.localizer.localize(obj)
-    for other in (pred_unc, pred_obj):
-        assert pred_col.components == other.components
-        assert pred_col.scores == other.scores
-        assert pred_col.log_likelihood == other.log_likelihood
-
-
-@pytest.mark.parametrize("scenario_name", scenario_names())
-def test_compressed_problem_views_match_uncompressed(tiny_world, scenario_name):
-    """The compressed build's lazy object views expand to exactly the
-    uncompressed representation (full projections, first-seen ids)."""
-    topo, routing = tiny_world
-    trace = make_trace(
-        topo, routing, make_scenario(scenario_name), seed=13,
-        n_passive=900, n_probes=150,
-    )
-    telemetry = TelemetryConfig.from_spec("A1+A2+P")
-    rng = np.random.default_rng(trace.seed + 0x5EED)
-    batch = build_observation_batch(trace.batch, telemetry, rng)
-    col = InferenceProblem.from_batch(batch, topo.n_components, topo.n_links)
-    rng = np.random.default_rng(trace.seed + 0x5EED)
-    batch = build_observation_batch(trace.batch, telemetry, rng)
-    unc = InferenceProblem.from_batch(
-        batch, topo.n_components, topo.n_links, compressed=False
-    )
-    assert col.compressed and not unc.compressed
-    assert col.n_paths == unc.n_paths
-    _assert_problems_identical(col, unc)
+    assert pred_col.components == pred_obj.components
+    assert pred_col.scores == pred_obj.scores
+    assert pred_col.log_likelihood == pred_obj.log_likelihood
 
 
 def test_gibbs_batched_matches_sequential(tiny_world):
@@ -194,7 +147,7 @@ def test_sampled_telemetry_identical(tiny_world):
     for spec in ("INT", "P", "A1+P"):
         telemetry = TelemetryConfig.from_spec(spec, passive_sampling=0.4)
         col = build_problem(trace, telemetry)
-        obj = build_problem(_strip_batch(trace), telemetry)
+        obj = build_problem(records_only(trace), telemetry)
         _assert_problems_identical(col, obj)
 
 

@@ -429,8 +429,8 @@ class TestCliEndToEnd:
         return proc.stdout
 
     def test_fig2_two_process_shards_merge_bit_identical(self, tmp_path):
-        from repro.eval.experiments import fig2_tradeoff
         from repro.eval.reporting import load_result
+        from repro.eval.spec import run_experiment
 
         for index in range(2):
             out = self._cli(
@@ -445,6 +445,6 @@ class TestCliEndToEnd:
             cwd=tmp_path,
         )
         merged = load_result(tmp_path / "merged.json")
-        serial = fig2_tradeoff(preset="ci")
+        serial = run_experiment("fig2", preset="ci")
         assert merged.experiment == "fig2"
         assert merged.rows == serial.rows

@@ -6,7 +6,6 @@ import pytest
 from repro.cli import build_parser, main, parse_overrides
 from repro.errors import ExperimentError, SimulationError
 from repro.eval.experiments import (
-    fig6_worked_example,
     omit_grid_seeds,
     standard_scheme_suite,
     standard_topology,
@@ -32,6 +31,7 @@ from repro.eval.spec import (
     experiment_names,
     get_experiment,
     register_experiment,
+    run_experiment,
     shardable_experiment_names,
 )
 from repro.simulation.failures import (
@@ -44,7 +44,7 @@ from repro.simulation.failures import (
 
 class TestFig6:
     def test_flock_pinpoints_failed_link(self):
-        result = fig6_worked_example()
+        result = run_experiment("fig6")
         by_scheme = {row["scheme"]: row for row in result.rows}
         assert by_scheme["Flock"]["correct_only"]
         assert by_scheme["Flock"]["predicted"] == ["I2<->D2"]

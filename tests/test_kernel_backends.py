@@ -22,6 +22,7 @@ registered scenario x seed grid below contains no such tie.
 import numpy as np
 import pytest
 
+from helpers import records_only
 from repro.core import kernels
 from repro.core.flock_fast import (
     VectorArrays,
@@ -33,17 +34,15 @@ from repro.core.greedy_nojle import GreedyWithoutJle
 from repro.core.jle import JleState
 from repro.core.model import LikelihoodModel
 from repro.core.params import DEFAULT_PER_PACKET
-from repro.core.problem import InferenceProblem
 from repro.errors import InferenceError
 from repro.eval.experiments import standard_topology
-from repro.eval.harness import build_problem, effective_telemetry
+from repro.eval.harness import build_problem
 from repro.eval.scenarios import make_trace
 from repro.eval.schemes import build_localizer, make_setup
 from repro.routing import EcmpRouting, PathSpace
 from repro.simulation import FlowLevelSimulator, SilentLinkDrops
 from repro.simulation.failures import make_scenario, scenario_names
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.inputs import build_observation_batch
 from repro.traffic import SpecBatch, UniformTraffic, generate_passive_flows
 
 #: Every registered backend; each is checked against the object oracle.
@@ -64,22 +63,17 @@ def tiny_world():
     return topo, EcmpRouting(topo)
 
 
-def _make_problem(tiny_world, scenario_name, seed=7, compressed=True):
+def _make_problem(tiny_world, scenario_name, seed=7, oracle=False):
+    """The columnar problem of a scenario trace, or with ``oracle`` the
+    object pipeline's problem of the same trace."""
     topo, routing = tiny_world
     trace = make_trace(
         topo, routing, make_scenario(scenario_name), seed=seed,
         n_passive=1_200, n_probes=200,
     )
-    telemetry = TelemetryConfig.from_spec("A1+A2+P")
-    if compressed:
-        return build_problem(trace, telemetry)
-    obs_batch = build_observation_batch(
-        trace.batch, effective_telemetry(trace, telemetry),
-        np.random.default_rng(trace.seed + 0x5EED),
-    )
-    return InferenceProblem.from_batch(
-        obs_batch, topo.n_components, topo.n_links, compressed=False
-    )
+    if oracle:
+        trace = records_only(trace)
+    return build_problem(trace, TelemetryConfig.from_spec("A1+A2+P"))
 
 
 def _assert_state_matches_oracle(vec: VectorJleState, ref: JleState):
@@ -165,21 +159,21 @@ def test_collapsed_row_invariants(tiny_world, scenario_name):
 
 def test_collapse_shrinks_identical_buckets(tiny_world):
     """A no-failure trace (every observation lands in the zero-bad
-    bucket family) collapses below one row per flow: the compressed
+    bucket family) collapses below one row per flow: the columnar
     build is already weight-deduped per (set, observation), and
     collapsing still merges rows across sets that share an interior
     set and a bucket."""
-    com = _make_problem(tiny_world, "no-failure")
-    va_c = VectorArrays(com, DEFAULT_PER_PACKET)
-    assert va_c.n_rows < com.n_flows
-    # The uncompressed build factors every set trivially (one interior
+    col = _make_problem(tiny_world, "no-failure")
+    va_c = VectorArrays(col, DEFAULT_PER_PACKET)
+    assert va_c.n_rows < col.n_flows
+    # The object pipeline factors every set trivially (one interior
     # set per set), so every row is a singleton there: the collapse
     # degenerates to the identity and must still price correctly
-    # (test_compressed_and_uncompressed_collapse_agree).
-    unc = _make_problem(tiny_world, "no-failure", compressed=False)
-    va_u = VectorArrays(unc, DEFAULT_PER_PACKET)
-    assert va_u.n_rows == unc.n_flows
-    assert va_c.n_rows < va_u.n_rows
+    # (test_columnar_and_object_collapse_agree).
+    obj = _make_problem(tiny_world, "no-failure", oracle=True)
+    va_o = VectorArrays(obj, DEFAULT_PER_PACKET)
+    assert va_o.n_rows == obj.n_flows
+    assert va_c.n_rows < va_o.n_rows
 
 
 def test_collapsed_rows_tiny_trace(tiny_world):
@@ -287,20 +281,17 @@ def test_scheme_predictions_match_across_backends(
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_compressed_and_uncompressed_collapse_agree(tiny_world, backend):
-    """Collapsed rows differ between the compressed and uncompressed
-    builds, yet both localize identically and report bit-identical
-    floats, on every registered scenario."""
+def test_columnar_and_object_collapse_agree(tiny_world, backend):
+    """Collapsed rows differ between the columnar build and the object
+    pipeline's trivial factoring, yet both localize identically and
+    report bit-identical floats, on every registered scenario."""
     _require(backend)
     localizer = build_localizer("flock", kernel_backend=backend)
     for scenario_name in scenario_names():
-        compressed = _make_problem(tiny_world, scenario_name)
-        uncompressed = _make_problem(
-            tiny_world, scenario_name, compressed=False
-        )
-        assert compressed.compressed and not uncompressed.compressed
-        reference = build_localizer("flock").localize(compressed)
-        for problem in (compressed, uncompressed):
+        columnar = _make_problem(tiny_world, scenario_name)
+        oracle = _make_problem(tiny_world, scenario_name, oracle=True)
+        reference = build_localizer("flock").localize(columnar)
+        for problem in (columnar, oracle):
             pred = localizer.localize(problem)
             assert pred.components == reference.components
             assert pred.scores == reference.scores

@@ -233,3 +233,95 @@ class TestCliResume:
         bogus.write_text(json.dumps({"hello": 1}))
         assert main(["stream", "--resume", str(bogus)]) == 2
         assert "not a stream checkpoint" in capsys.readouterr().err
+
+
+def _cli_checkpoint(tmp_path, capsys, cycles=6):
+    """A checkpoint written by the CLI (stream metadata included) and
+    its decoded payload."""
+    path = tmp_path / "cli.ckpt"
+    assert main([
+        "stream", "gray-drift", "--preset", "tiny", "--cycles", str(cycles),
+        "--flows", "200", "--probes", "50", "--window", "3",
+        "--checkpoint", str(path),
+    ]) == 0
+    capsys.readouterr()
+    return path, decode_stream_checkpoint(path.read_text())
+
+
+class TestCheckpointConfig:
+    """A checksum-valid checkpoint whose config or metadata is malformed
+    fails as CheckpointError (CLI: exit 2), never as a traceback."""
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda p: p["config"].pop("window"), "missing 'window'"),
+        (lambda p: p.__setitem__("config", "x"), "config must be an object"),
+        (lambda p: p["config"].__setitem__("window", "three"), "'window'"),
+        (lambda p: p["config"].__setitem__("warm", 1), "'warm'"),
+        (lambda p: p["config"].__setitem__("seed", True), "'seed'"),
+        (lambda p: p.__setitem__("meta", []), "meta must be an object"),
+    ], ids=["no-window", "config-str", "window-str", "warm-int",
+            "seed-bool", "meta-list"])
+    def test_malformed_config_refused(self, mutate, match):
+        topology, chunks = build_stream()
+        monitor = StreamMonitor(topology, window=3, seed=61)
+        monitor.step(chunks[0])
+        payload = json.loads(json.dumps(monitor.checkpoint_payload()))
+        mutate(payload)
+        with pytest.raises(CheckpointError, match=match):
+            StreamMonitor.from_checkpoint(payload, topology, chunks)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p["config"].pop("window"),
+        lambda p: p.__setitem__("config", "x"),
+        lambda p: p["config"].__setitem__("window", "three"),
+        lambda p: p.pop("meta"),
+        lambda p: p.__setitem__("meta", 7),
+        lambda p: p["meta"].__setitem__("cycles", "six"),
+    ], ids=["no-window", "config-str", "window-str", "no-meta", "meta-int",
+            "cycles-str"])
+    def test_cli_malformed_config_exits_2(self, mutate, tmp_path, capsys):
+        path, payload = _cli_checkpoint(tmp_path, capsys, cycles=2)
+        mutate(payload)
+        path.write_text(encode_stream_checkpoint(payload))
+        assert main(["stream", "--resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-flock: error:")
+        assert "Traceback" not in err
+
+    def test_new_checkpoints_omit_compressed(self):
+        topology, chunks = build_stream()
+        monitor = StreamMonitor(topology, window=3, seed=61)
+        monitor.step(chunks[0])
+        assert "compressed" not in monitor.checkpoint_payload()["config"]
+
+    def test_legacy_compressed_true_resumes(self):
+        """Earlier checkpoints carry ``"compressed": true`` (the layout
+        every CLI run used); they resume bit-identically."""
+        topology, chunks = build_stream()
+        monitor = StreamMonitor(topology, window=3, seed=61)
+        baseline = [cycle_report_to_wire(monitor.step(c)) for c in chunks]
+
+        topology, chunks = build_stream()
+        monitor = StreamMonitor(topology, window=3, seed=61)
+        for chunk in chunks[:4]:
+            monitor.step(chunk)
+        payload = monitor.checkpoint_payload()
+        payload["config"]["compressed"] = True
+        payload = decode_stream_checkpoint(encode_stream_checkpoint(payload))
+
+        topology, chunks = build_stream()
+        resumed = StreamMonitor.from_checkpoint(payload, topology, chunks)
+        assert [
+            cycle_report_to_wire(resumed.step(c))
+            for c in chunks if c.index >= resumed.cursor
+        ] == baseline[4:]
+
+    def test_legacy_compressed_false_refused(self, tmp_path, capsys):
+        path, payload = _cli_checkpoint(tmp_path, capsys, cycles=2)
+        payload["config"]["compressed"] = False
+        topology, chunks = build_stream()
+        with pytest.raises(CheckpointError, match="'compressed': False"):
+            StreamMonitor.from_checkpoint(payload, topology, chunks)
+        path.write_text(encode_stream_checkpoint(payload))
+        assert main(["stream", "--resume", str(path)]) == 2
+        assert "'compressed': False" in capsys.readouterr().err

@@ -5,7 +5,8 @@ The two load-bearing equivalences:
 * **Window = rebuild.** After any number of append/expire cycles a
   :class:`WindowedProblem`'s problem - arrays, indexes, and every
   registered scheme's prediction - is bit-identical to a fresh
-  ``from_batch`` over the retained observation rows.
+  ``from_batch`` (and to the object pipeline's ``from_observations``)
+  over the retained observation rows.
 * **Warm = cold.** A :meth:`VectorJleState.rebase`-ed state carries
   exactly the Δ array a cold build at the same hypothesis would have,
   and the warm local search lands on the cold greedy hypothesis at
@@ -81,24 +82,29 @@ def _assert_problems_identical(win: InferenceProblem, ref: InferenceProblem):
 
 
 @pytest.mark.parametrize("scheme", scheme_names())
-@pytest.mark.parametrize("compressed", [True, False])
+@pytest.mark.parametrize("rebuild_from_batch", [True, False])
 def test_window_matches_rebuild_for_every_scheme(
-    tiny_world, scheme, compressed
+    tiny_world, scheme, rebuild_from_batch
 ):
     """After several append/expire cycles the windowed problem and every
-    scheme's prediction are bit-identical to a fresh from_batch."""
+    scheme's prediction are bit-identical to a fresh build over the
+    retained rows: ``from_batch``, or the object pipeline
+    (``from_observations``, the oracle)."""
     topo, routing = tiny_world
     setup = make_setup(scheme)
     chunks = _stream_chunks(topo, routing)
-    windowed = WindowedProblem(
-        topo.n_components, topo.n_links, window=WINDOW, compressed=compressed
-    )
+    windowed = WindowedProblem(topo.n_components, topo.n_links, window=WINDOW)
     for cycle, obs in enumerate(_obs_stream(chunks, setup.telemetry)):
         update = windowed.append(obs)
-        rebuilt = InferenceProblem.from_batch(
-            windowed.retained_observations(),
-            topo.n_components, topo.n_links, compressed=compressed,
-        )
+        retained = windowed.retained_observations()
+        if rebuild_from_batch:
+            rebuilt = InferenceProblem.from_batch(
+                retained, topo.n_components, topo.n_links
+            )
+        else:
+            rebuilt = InferenceProblem.from_observations(
+                retained.observations(), topo.n_components, topo.n_links
+            )
         _assert_problems_identical(update.problem, rebuilt)
         if cycle < N_CHUNKS - 1:
             continue  # predictions only checked on the final window
