@@ -19,7 +19,6 @@ import os
 import time
 
 from repro.eval.experiments import (
-    ExperimentResult,
     silent_drop_traces,
     standard_scheme_suite,
 )
@@ -30,6 +29,7 @@ from repro.eval.shard import (
     merge_shards,
     run_sharded,
 )
+from repro.eval.spec import ExperimentResult
 
 from _common import run_once
 

@@ -42,6 +42,8 @@ Benchmarks
 * ``localize_greedy_numba`` - the same localization through the
   compiled kernel backend.
 * ``localize_gibbs`` - Gibbs sampling localization.
+* ``localize_netbouncer`` - the NetBouncer baseline (coordinate
+  descent + device rule) on the INT problem of the same fixed trace.
 
 ``derived`` carries the headline ratios: ``trace_build_speedup``
 (object mean / columnar mean), ``simulate_rng_speedup`` (grouped mean /
@@ -87,6 +89,7 @@ PRESET_SKIPS = {
         "trace_build_object",      # materializes ~9M per-pair projections
         "kernel_delta_reference",  # pure-Python engine over 400K flows
         "kernel_flip_vector",      # micro-bench; covered by localize_*
+        "localize_netbouncer",     # INT build + sweep never timed at 400K flows
     },
 }
 
@@ -191,6 +194,7 @@ def _stats(times, cold=None):
 
 def build_benchmarks(preset: str, base_seed: int):
     """Return {name: callable(i)} benchmark closures for the preset."""
+    from repro.baselines.netbouncer import NetBouncer
     from repro.core.flock_fast import VectorJleState
     from repro.core.gibbs import GibbsInference
     from repro.core.jle import JleState
@@ -219,17 +223,22 @@ def build_benchmarks(preset: str, base_seed: int):
     telemetry = TelemetryConfig.from_spec("A1+A2+P")
     scenario = SilentLinkDrops(n_failures=3, min_rate=4e-3, max_rate=1e-2)
 
-    def trace_build_columnar(i):
-        trace = make_trace(
-            topo, routing, scenario, seed=base_seed + i,
-            n_passive=n_passive, n_probes=n_probes,
-        )
+    def problem_of(trace, config):
         batch = build_observation_batch(
-            trace.batch, telemetry, np.random.default_rng(5)
+            trace.batch, config, np.random.default_rng(5)
         )
         return InferenceProblem.from_batch(
             batch, topo.n_components, topo.n_links
         )
+
+    def trace_of(i):
+        return make_trace(
+            topo, routing, scenario, seed=base_seed + i,
+            n_passive=n_passive, n_probes=n_probes,
+        )
+
+    def trace_build_columnar(i):
+        return problem_of(trace_of(i), telemetry)
 
     # The object arm shares one space across repeats too, so neither
     # arm is charged fresh-interning costs the other amortizes.
@@ -270,8 +279,10 @@ def build_benchmarks(preset: str, base_seed: int):
             rng_mode="vectorized",
         )
 
-    # A fixed mid-size problem for the kernel micro-benchmarks.
-    kernel_problem = trace_build_columnar(10_000)
+    # A fixed mid-size problem for the kernel micro-benchmarks (its
+    # trace's INT problem feeds the NetBouncer arm).
+    kernel_trace = trace_of(10_000)
+    kernel_problem = problem_of(kernel_trace, telemetry)
 
     def kernel_delta_vector(i):
         return VectorJleState(kernel_problem, DEFAULT_PER_PACKET)
@@ -318,6 +329,16 @@ def build_benchmarks(preset: str, base_seed: int):
 
     benches["localize_greedy_fast"] = localize_greedy_fast
     benches["localize_gibbs"] = localize_gibbs
+
+    if "localize_netbouncer" not in skips:
+        int_problem = problem_of(
+            kernel_trace, TelemetryConfig.from_spec("INT")
+        )
+
+        def localize_netbouncer(i):
+            return NetBouncer().localize(int_problem)
+
+        benches["localize_netbouncer"] = localize_netbouncer
 
     if backend_available("numba"):
         greedy_numba = build_localizer("flock", kernel_backend="numba")

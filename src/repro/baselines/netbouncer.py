@@ -25,19 +25,24 @@ knobs match the paper's "NetBouncer has 3 [parameters]".
 Like 007, NetBouncer consumes exact-path flows only.
 
 Implementation notes: flows aggregate into per-link-path success ratios
-with whole-array passes over the problem CSRs; each coordinate-descent
-step computes all of a link's path products with one masked
-``np.multiply.reduceat`` (excluded coordinates read as an exact 1.0
-factor), and the per-link boundary scan of the concave case prices both
-endpoints vectorized.  Scalar accumulations are reproduced with
-``cumsum`` folds, so estimates match the historical per-path Python
-loops bit for bit.  The device rule walks the component indexes
+with whole-array passes over the problem CSRs, one row per distinct
+sorted link tuple.  Before the first sweep, each link gets a plan built
+once: its member paths' link-index gather, the positions of its own
+entries in that gather, the ``reduceat`` offsets, the member ratios and
+a ``(2, m+1)`` fold buffer.  A coordinate step then only gathers ``x``,
+sets the own entries to an exact 1.0 factor, takes all path products
+with one ``np.multiply.reduceat``, writes ``y*q`` and ``q*q`` behind the
+``-lam/2`` and ``-lam`` seeds, and gets both sums from one in-place
+``np.add.accumulate``.  ``accumulate`` is the strict left-to-right
+recurrence of the historical per-path Python loops, so estimates match
+them bit for bit.  The device rule walks the component indexes
 (``comp -> paths``, ``comp -> flows``, endpoint columns) instead of the
 object views, so factored problems never expand.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -46,13 +51,6 @@ from ..core.problem import _expand_slices
 from ..errors import InferenceError
 from ..types import Prediction
 from .base import exact_flow_components
-
-
-def _seq_sum(terms: np.ndarray, init: float) -> float:
-    """Left-to-right ``init + t1 + t2 + ...`` (the scalar-loop order)."""
-    if len(terms) == 0:
-        return init
-    return float(np.cumsum(np.concatenate(([init], terms)))[-1])
 
 
 class NetBouncer:
@@ -68,14 +66,20 @@ class NetBouncer:
         max_sweeps: int = 50,
         tol: float = 1e-9,
     ) -> None:
-        if regularization < 0.0:
-            raise InferenceError("regularization must be non-negative")
+        if not (math.isfinite(regularization) and regularization >= 0.0):
+            raise InferenceError(
+                "regularization must be finite and non-negative"
+            )
         if not 0.0 < drop_threshold < 1.0:
             raise InferenceError("drop_threshold must be in (0, 1)")
         if not 0.0 < device_frac <= 1.0:
             raise InferenceError("device_frac must be in (0, 1]")
+        if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, int):
+            raise InferenceError("max_sweeps must be an int")
         if max_sweeps < 1:
             raise InferenceError("max_sweeps must be >= 1")
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise InferenceError("tol must be finite and non-negative")
         self._lam = regularization
         self._drop_threshold = drop_threshold
         self._device_frac = device_frac
@@ -163,27 +167,44 @@ class NetBouncer:
             pl_flat[order], np.arange(len(links) + 1, dtype=np.int64)
         )
 
+        # Per-link plan, built once: the member paths' link gather, the
+        # positions of the link's own entries in it, the reduceat
+        # offsets, the member ratios, and a (2, m+1) fold buffer with
+        # views of its two rows and of their term slots [1:].  Every
+        # link lies on at least one path, so no member list is empty.
+        plan = []
+        for li in range(len(links)):
+            members = pol_vals[pol_bounds[li]:pol_bounds[li + 1]]
+            seg_lens = plen[members]
+            flat = pl_flat[_expand_slices(plo[members], seg_lens)]
+            starts = np.zeros(len(members), dtype=np.int64)
+            np.cumsum(seg_lens[:-1], out=starts[1:])
+            fold = np.empty((2, len(members) + 1))
+            plan.append((
+                li, flat, np.flatnonzero(flat == li), starts, y[members],
+                fold, fold[0], fold[1], fold[0, 1:], fold[1, 1:],
+            ))
+
         x = np.ones(len(links))
         lam = self._lam
         for _ in range(self._max_sweeps):
             max_move = 0.0
-            for li in range(len(links)):
-                members = pol_vals[pol_bounds[li]:pol_bounds[li + 1]]
-                if not len(members):
-                    continue
-                seg_lens = plen[members]
-                idx = _expand_slices(plo[members], seg_lens)
-                flat = pl_flat[idx]
+            for (li, flat, own, starts, ym,
+                 fold, num_row, den_row, yq, qq) in plan:
                 vals = x[flat]
                 # The excluded coordinate reads as an exact 1.0 factor,
-                # so the left-to-right fold equals the skip-one loop.
-                vals[flat == li] = 1.0
-                starts = np.zeros(len(members), dtype=np.int64)
-                np.cumsum(seg_lens[:-1], out=starts[1:])
+                # so the left-to-right product equals the skip-one loop.
+                vals[own] = 1.0
                 q = np.multiply.reduceat(vals, starts)
-                ym = y[members]
-                num = _seq_sum(ym * q, -lam / 2.0)
-                den = _seq_sum(q * q, -lam)
+                # Row 0 folds -lam/2 + sum y*q and row 1 folds -lam +
+                # sum q*q, each strictly left to right (the scalar order).
+                num_row[0] = -lam / 2.0
+                den_row[0] = -lam
+                np.multiply(ym, q, out=yq)
+                np.multiply(q, q, out=qq)
+                np.add.accumulate(fold, axis=1, out=fold)
+                num = float(num_row[-1])
+                den = float(den_row[-1])
                 if den > 1e-12:
                     new = min(1.0, max(0.0, num / den))
                 elif den < -1e-12:
@@ -213,9 +234,11 @@ class NetBouncer:
         best_x = 1.0
         for candidate in (0.0, 1.0):
             resid = ym - candidate * q
-            val = _seq_sum(
-                resid * resid, 0.0
-            ) + self._lam * candidate * (1.0 - candidate)
+            # accumulate is the left-to-right scalar fold (a leading
+            # 0.0 + t1 is exactly t1 for these non-negative terms).
+            val = float(np.add.accumulate(resid * resid)[-1]) + (
+                self._lam * candidate * (1.0 - candidate)
+            )
             if best_val is None or val < best_val:
                 best_val = val
                 best_x = candidate
